@@ -9,11 +9,9 @@ and events/sec must not regress by more than 20%.
 Two measurement sections:
 
 ``kernel_stress``
-    Pure scheduler throughput (events/sec) for each backend — a storm
-    of self-rescheduling actors, no simulation model attached — at
-    several queue depths. This isolates what the calendar queue
-    replaced: heap push/pop is O(log n) against the ring's O(1), so
-    the ratio grows with depth (~2.3x shallow, >3x at 32k actors).
+    Pure scheduler throughput (events/sec) of the calendar queue — a
+    storm of self-rescheduling actors, no simulation model attached —
+    at several queue depths.
 
 ``figure_points``
     Full fast-profile (4x4, scale 16) simulation points. Each point
@@ -22,22 +20,14 @@ Two measurement sections:
     and a *perf pass* without it (wall-clock, events executed,
     events/sec — the numbers a simulation user actually sees).
 
-``seed_baseline`` embeds the pre-PR numbers (heap kernel, pre-slot-
-array memory system) measured on the same machine class, so the JSON
+``seed_baseline`` embeds the pre-calendar-queue numbers (heap kernel,
+pre-slot-array memory system) measured on the same machine class, so the JSON
 carries its own reference: ``speedup_vs_seed`` per point.
 
 ``trajectory`` accumulates across runs instead of being overwritten:
 each invocation appends one entry (git SHA + date + per-point
 events/sec + trace hash), so the committed JSON records how kernel
 performance moved PR over PR rather than only its latest value.
-
-On a ``--check`` S5 hash mismatch the script doesn't stop at "hashes
-differ": it runs the two-pass divergence localizer between the heap
-and calendar backends on each mismatching point and writes
-``DIVERGENCE_kernel.json`` naming the first divergent (cycle, event,
-handler) — or recording that the backends agree, which means the
-hash change is semantic (a handler/model change) rather than a
-scheduling bug.
 
 Usage::
 
@@ -111,11 +101,9 @@ STRESS_DEPTHS_QUICK = [64, 1024]
 # ----------------------------------------------------------------------
 # section 1: raw scheduler throughput
 # ----------------------------------------------------------------------
-def stress_backend(backend: str, n_actors: int, target_events: int) -> Dict:
-    """Self-rescheduling actor storm; returns events/sec for one
-    backend. The horizon is sized so every depth runs a comparable
-    number of events."""
-    os.environ["REPRO_KERNEL"] = backend
+def stress(n_actors: int, target_events: int) -> Dict:
+    """Self-rescheduling actor storm; returns events/sec. The horizon
+    is sized so every depth runs a comparable number of events."""
     from repro.sim.kernel import Simulator
 
     sim = Simulator()
@@ -132,27 +120,15 @@ def stress_backend(backend: str, n_actors: int, target_events: int) -> Dict:
     sim.run(until=horizon)
     wall = time.perf_counter() - t0
     return {
-        "backend": backend,
         "actors": n_actors,
         "events": sim.events_executed,
         "wall_s": round(wall, 4),
-        "events_per_s": int(sim.events_executed / wall),
+        "calendar_events_per_s": int(sim.events_executed / wall),
     }
 
 
 def run_stress(depths: List[int], target_events: int) -> List[Dict]:
-    rows = []
-    for depth in depths:
-        heap = stress_backend("heap", depth, target_events)
-        cal = stress_backend("calendar", depth, target_events)
-        rows.append({
-            "actors": depth,
-            "heap_events_per_s": heap["events_per_s"],
-            "calendar_events_per_s": cal["events_per_s"],
-            "ratio": round(cal["events_per_s"] / heap["events_per_s"], 3),
-            "events": cal["events"],
-        })
-    return rows
+    return [stress(depth, target_events) for depth in depths]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +176,6 @@ def run_point(name: str, hash_pass: bool, calls_pass: bool = True) -> Dict:
     workload, config = base_name.split("/")
     profile = dict(PROFILE, **GEOMETRY_OVERRIDES[name]) if variant else PROFILE
 
-    os.environ.pop("REPRO_KERNEL", None)  # default backend (calendar)
     params = run_params(workload, config, **profile)
 
     trace_hash: Optional[int] = None
@@ -336,9 +311,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"kernel stress ({len(depths)} depths)...")
     stress = run_stress(depths, target)
     for row in stress:
-        print(f"  actors={row['actors']:>6}: heap={row['heap_events_per_s']:>9,} "
-              f"calendar={row['calendar_events_per_s']:>9,} ev/s "
-              f"({row['ratio']}x)")
+        print(f"  actors={row['actors']:>6}: "
+              f"{row['calendar_events_per_s']:>9,} ev/s")
 
     figure_points = []
     for name in points:
@@ -368,10 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}")
 
     if args.check:
-        divergence_out = os.path.join(
-            os.path.dirname(os.path.abspath(args.out)),
-            "DIVERGENCE_kernel.json")
-        return check_against(args.check, figure_points, divergence_out)
+        return check_against(args.check, figure_points)
     return 0
 
 
@@ -382,47 +353,11 @@ REGRESSION_TOLERANCE = 0.20  # fail if events/sec drops more than this
 CALLS_TOLERANCE = 0.15
 
 
-def localize_mismatches(mismatched: List[Dict], out_path: str) -> None:
-    """Run the divergence localizer for each hash-mismatched point and
-    write the findings as a CI artifact."""
-    from repro.obs.divergence import localize_backends
-
-    findings = []
-    for entry in mismatched:
-        name = f"{entry['workload']}/{entry['config']}"
-        print(f"  [check] localizing {name} (heap vs calendar)...")
-        divergence = localize_backends(
-            entry["workload"], entry["config"],
-            **entry.get("profile", PROFILE))
-        if divergence is None:
-            note = ("backends agree: the hash change is semantic "
-                    "(handler/model change), not a scheduling bug")
-            print(f"  [check] {name}: {note}")
-            findings.append({"point": name, "backend_divergence": None,
-                             "note": note, **entry["hashes"]})
-        else:
-            print(f"  [check] {name}: {divergence.describe()}")
-            findings.append({
-                "point": name,
-                "backend_divergence": divergence.to_dict(),
-                "note": divergence.describe(), **entry["hashes"],
-            })
-    with open(out_path, "w") as fh:
-        json.dump({"mismatches": findings}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"  [check] wrote {out_path}")
-
-
-def check_against(
-    baseline_path: str,
-    figure_points: List[Dict],
-    divergence_out: Optional[str] = None,
-) -> int:
+def check_against(baseline_path: str, figure_points: List[Dict]) -> int:
     """CI gate: the S5 hash per shared point must match the committed
-    baseline exactly (determinism is not a tolerance band), and
-    events/sec must be within REGRESSION_TOLERANCE of it.  Hash
-    mismatches trigger the divergence localizer (see module
-    docstring)."""
+    baseline exactly (determinism is not a tolerance band), events/sec
+    must be within REGRESSION_TOLERANCE of it, and calls/event within
+    CALLS_TOLERANCE."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     base_points = {
@@ -430,7 +365,6 @@ def check_against(
         for p in baseline.get("figure_points", [])
     }
     failures = []
-    mismatched: List[Dict] = []
     for point in figure_points:
         name = point.get("name", f"{point['workload']}/{point['config']}")
         base = base_points.get(name)
@@ -443,15 +377,6 @@ def check_against(
                     f"{name}: S5 trace hash {point['trace_hash']} != "
                     f"baseline {base['trace_hash']} (determinism broken)"
                 )
-                mismatched.append({
-                    "workload": point["workload"],
-                    "config": point["config"],
-                    "profile": point.get("profile", PROFILE),
-                    "hashes": {
-                        "current_hash": point["trace_hash"],
-                        "baseline_hash": base["trace_hash"],
-                    },
-                })
             elif point.get("trace_events") != base.get("trace_events"):
                 failures.append(
                     f"{name}: trace events {point.get('trace_events')} != "
@@ -476,8 +401,6 @@ def check_against(
                     f"{int(CALLS_TOLERANCE * 100)}% above baseline "
                     f"{base['calls_per_event']} (handler-layer bloat)"
                 )
-    if mismatched and divergence_out:
-        localize_mismatches(mismatched, divergence_out)
     if failures:
         for f in failures:
             print(f"  [check] FAIL {f}", file=sys.stderr)

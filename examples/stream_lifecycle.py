@@ -1,31 +1,48 @@
 #!/usr/bin/env python
 """Watch a floated stream's life: float -> migrate -> ... -> end.
 
-Attaches the event tracer to an SF chip running the mv kernel and
-prints the first float/sink/migration/confluence events, then the
-per-kind totals. Useful both for understanding the mechanism and for
-debugging new workloads: a stream that floats and immediately sinks,
-or that migrates every few elements, shows up here at a glance.
+Builds an SF chip with telemetry on, subscribes to its event bus, runs
+the mv kernel and prints the first float/sink/migration/end events,
+then the per-kind totals. Useful both for understanding the mechanism
+and for debugging new workloads: a stream that floats and immediately
+sinks, or that migrates every few elements, shows up here at a glance.
+
+Telemetry attaches the way the harness attaches it: ``REPRO_TELEMETRY``
+names the pillars while the chip is built, and every component
+registers its hooks with the bus at construction.
 
 Run:  python examples/stream_lifecycle.py
 """
 
-from repro.sim import Tracer
+import os
+from collections import Counter
+
+from repro.obs.telemetry import ENV_TELEMETRY
 from repro.system import Chip, make_config
 from repro.workloads import build_programs
 
+KINDS = ("float", "sink", "migrate", "end")
+
 
 def main() -> None:
-    chip = Chip(make_config("sf", core="ooo8", cols=4, rows=4, scale=16))
-    tracer = Tracer(chip, kinds=("float", "sink", "migrate", "end"))
+    os.environ[ENV_TELEMETRY] = "provenance"
+    try:
+        chip = Chip(make_config("sf", core="ooo8", cols=4, rows=4, scale=16))
+    finally:
+        del os.environ[ENV_TELEMETRY]
+    events = []
+    for kind in KINDS:
+        chip.sim.telemetry.subscribe(kind, events.append)
     programs = build_programs("mv", chip.num_cores, scale=16)
     result = chip.run(programs)
 
     print("first 20 stream events:")
-    for ev in list(tracer.events)[:20]:
-        print(" ", ev)
+    for ev in events[:20]:
+        print(f"  [{ev.cycle:>9}] {ev.kind:<8} tile {ev.tile:<3} {ev.detail}")
     print("\nevent totals:")
-    print(tracer.summary())
+    counts = Counter(ev.kind for ev in events)
+    for kind in KINDS:
+        print(f"  {kind:<12} {counts[kind]:>8}")
     print(f"\nrun: {result.cycles:,} cycles, "
           f"{result.stats['l3.requests.stream_float']:.0f} SE_L3 requests, "
           f"{result.stats['se_l3.migrations_out']:.0f} migrations")

@@ -78,15 +78,16 @@ def main(argv=None) -> int:
                         help="sample Stats deltas every N cycles "
                              "(IPC, NoC util, L3 MPKI, streams alive)")
     parser.add_argument("--interval-out", metavar="PATH", default=None,
-                        help="interval time-series output (default "
-                             "intervals.jsonl; .csv extension switches "
-                             "to CSV)")
+                        help="interval time-series output (none "
+                             "written unless given; .csv extension "
+                             "switches to CSV)")
     parser.add_argument("--profile", action="store_true",
                         help="profile the event kernel (host time per "
                              "callback) and report the top hot paths")
     parser.add_argument("--profile-out", metavar="PATH", default=None,
-                        help="kernel profile JSON output "
-                             "(default profile.json)")
+                        help="kernel profile JSON output (none "
+                             "written unless given; the hot-path "
+                             "report goes to stderr either way)")
     parser.add_argument("--provenance-out", metavar="PATH", default=None,
                         help="decision provenance ledger output "
                              "(queryable JSONL: every float/sink/"
@@ -135,10 +136,8 @@ def main(argv=None) -> int:
         os.environ[ENV_TELEMETRY_DIR] = worker_dir
         sink = TelemetrySink(
             trace_out=args.trace_out,
-            interval_out=args.interval_out or (
-                "intervals.jsonl" if args.interval_stats else None),
-            profile_out=args.profile_out or (
-                "profile.json" if args.profile else None),
+            interval_out=args.interval_out,
+            profile_out=args.profile_out,
             provenance_out=args.provenance_out,
         )
         configure_telemetry(sink)

@@ -40,7 +40,6 @@ _LAZY = {
     "Divergence": "repro.obs.divergence",
     "TraceRecorder": "repro.obs.divergence",
     "localize": "repro.obs.divergence",
-    "localize_backends": "repro.obs.divergence",
     "RunArtifacts": "repro.obs.diff",
     "RunDiff": "repro.obs.diff",
     "diff_runs": "repro.obs.diff",

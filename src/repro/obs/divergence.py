@@ -7,12 +7,12 @@ dispatches; PR 6 turned it into a CI gate. A bare mismatch is the
 least actionable failure in the repo — this module makes it
 localizable with a two-pass replay (DESIGN.md §11):
 
-1. **Checkpoint pass**: run both variants (kernel backend A/B, commit
-   N vs N-1, policy on/off) with a :class:`TraceRecorder` attached.
-   The recorder mirrors the S5 formula *exactly* (same
-   ``zlib.crc32(b"%d|%s" % (when, name))`` incremental hash — see
-   ``Sanitizer._install_step_hook``) and snapshots the prefix hash
-   every ``checkpoint_every`` events.
+1. **Checkpoint pass**: run both variants (commit N vs N-1, policy
+   on/off) with a :class:`TraceRecorder` attached.
+   The recorder folds each dispatch into the prefix hash through the
+   sanitizer's own :func:`~repro.sim.sanitizer.s5_crc`, so its hash
+   *is* the S5 hash, and snapshots it every ``checkpoint_every``
+   events.
 2. **Window pass**: a prefix-hash mismatch is monotone (once the
    streams diverge the hashes stay different), so binary-search the
    checkpoint arrays for the first disagreeing checkpoint, then
@@ -26,10 +26,10 @@ instead of two giant opaque hashes.
 
 from __future__ import annotations
 
-import os
-import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.sanitizer import handler_name, s5_crc
 
 # Window capture guard: the second pass captures at most this many
 # events (only relevant when two runs share every checkpoint but one
@@ -40,14 +40,12 @@ DEFAULT_CHECKPOINT_EVERY = 1024
 
 
 class TraceRecorder:
-    """Step-hook recorder of the S5 event stream.
+    """Step observer recording the S5 event stream.
 
     Attach to a fresh :class:`~repro.sim.kernel.Simulator` *before*
-    running it. Works identically on both kernel backends: ``run()``
-    dispatches through the wrapped ``step`` whenever a step hook is
-    installed, and ``peek_event()`` is part of the backend contract.
-    Composes with the sanitizer's own step hook (wrapping preserves
-    the event stream and hashes the same ``(cycle, qualname)`` pairs).
+    running it. It registers on the kernel's step-observer list next
+    to the sanitizer's S5 observer and hashes the same
+    ``(cycle, qualname)`` pairs through the same function.
     """
 
     def __init__(
@@ -66,39 +64,21 @@ class TraceRecorder:
         self.checkpoints: List[int] = []
         self.window_events: List[Tuple[int, int, str]] = []
         self.window_dropped = 0
-        self._install(sim)
+        sim.add_step_observer(self._observe_step)
 
-    def _install(self, sim) -> None:
-        recorder = self
-        inner_step = sim.step
-        checkpoint_every = self.checkpoint_every
+    def _observe_step(self, when: int, fn: Callable[..., Any]) -> None:
+        name = handler_name(fn)
+        self.crc = s5_crc(self.crc, when, name)
+        index = self.events
+        self.events = index + 1
+        if self.events % self.checkpoint_every == 0:
+            self.checkpoints.append(self.crc)
         window = self.window
-
-        def step() -> bool:
-            nxt = sim.peek_event()
-            if nxt is not None:
-                when, fn = nxt
-                name = getattr(fn, "__qualname__", None) or type(fn).__name__
-                # Incremental prefix hash — the S5 formula verbatim
-                # (sim/sanitizer.py), so recorder hashes and sanitizer
-                # hashes describe the same stream.
-                recorder.crc = zlib.crc32(
-                    b"%d|%s" % (when, name.encode()), recorder.crc
-                )
-                index = recorder.events
-                recorder.events = index + 1
-                if recorder.events % checkpoint_every == 0:
-                    recorder.checkpoints.append(recorder.crc)
-                if window is not None and window[0] <= index < window[1]:
-                    if len(recorder.window_events) < MAX_WINDOW_EVENTS:
-                        recorder.window_events.append((index, when, name))
-                    else:
-                        recorder.window_dropped += 1
-            return inner_step()
-
-        step.__qualname__ = getattr(inner_step, "__qualname__",
-                                    "Simulator.step")
-        sim.step = step
+        if window is not None and window[0] <= index < window[1]:
+            if len(self.window_events) < MAX_WINDOW_EVENTS:
+                self.window_events.append((index, when, name))
+            else:
+                self.window_dropped += 1
 
 
 # A run variant: builds a fresh simulation, calls the supplied attach
@@ -224,12 +204,11 @@ def localize(
 
 
 # ----------------------------------------------------------------------
-# figure-point variants (bench-smoke / kernel-equivalence wiring)
+# figure-point variants
 # ----------------------------------------------------------------------
 def figure_point_variant(
     workload: str,
     config: str,
-    backend: str,
     core: str = "ooo8",
     cols: int = 4,
     rows: int = 4,
@@ -238,53 +217,25 @@ def figure_point_variant(
     l3_interleave: Optional[int] = None,
     seed: int = 0,
 ) -> RunVariant:
-    """A :data:`RunVariant` that runs one figure point under the named
-    kernel backend (mirrors ``benchmarks/bench_kernel.py``'s direct
-    Chip construction — no caches, no harness)."""
+    """A :data:`RunVariant` that runs one figure point (mirrors
+    ``benchmarks/bench_kernel.py``'s direct Chip construction — no
+    caches, no harness)."""
 
     def run(attach: Callable[[Any], TraceRecorder]) -> TraceRecorder:
-        from repro.sim.kernel import ENV_KERNEL
         from repro.system.chip import Chip
         from repro.system.configs import make_config
         from repro.workloads.base import build_programs
 
-        prev = os.environ.get(ENV_KERNEL)
-        os.environ[ENV_KERNEL] = backend
-        try:
-            system = make_config(
-                config, core=core, cols=cols, rows=rows, scale=scale,
-                link_bits=link_bits, l3_interleave=l3_interleave,
-            )
-            chip = Chip(system)
-            recorder = attach(chip.sim)
-            programs = build_programs(
-                workload, chip.num_cores, scale=scale, seed=seed,
-            )
-            chip.run(programs)
-            return recorder
-        finally:
-            if prev is None:
-                os.environ.pop(ENV_KERNEL, None)
-            else:
-                os.environ[ENV_KERNEL] = prev
+        system = make_config(
+            config, core=core, cols=cols, rows=rows, scale=scale,
+            link_bits=link_bits, l3_interleave=l3_interleave,
+        )
+        chip = Chip(system)
+        recorder = attach(chip.sim)
+        programs = build_programs(
+            workload, chip.num_cores, scale=scale, seed=seed,
+        )
+        chip.run(programs)
+        return recorder
 
     return run
-
-
-def localize_backends(
-    workload: str,
-    config: str,
-    backend_a: str = "heap",
-    backend_b: str = "calendar",
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    **point_kwargs: Any,
-) -> Optional[Divergence]:
-    """Localize a kernel-backend divergence on one figure point.
-    Returns ``None`` when the backends agree (then a baseline hash
-    mismatch is semantic — a handler or model change — not a
-    scheduling bug)."""
-    return localize(
-        figure_point_variant(workload, config, backend_a, **point_kwargs),
-        figure_point_variant(workload, config, backend_b, **point_kwargs),
-        checkpoint_every=checkpoint_every,
-    )

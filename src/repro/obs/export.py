@@ -276,7 +276,8 @@ class TelemetrySink:
         if telemetry.sampler is not None and self.interval_out:
             for sample in telemetry.sampler.samples:
                 self._samples.append({"point": slug, **sample})
-        if telemetry.profiler is not None and self.profile_out:
+        if telemetry.profiler is not None:
+            # Kept without --profile-out too: profile_report() prints it.
             self._profiles.append(
                 {"point": slug, **telemetry.profiler.payload(self.top_n)})
         ledger = getattr(telemetry, "provenance", None)

@@ -1,7 +1,7 @@
 """Interval metrics sampler: Stats deltas every N cycles.
 
 Once per sampling period (in *simulated* cycles, checked on the
-kernel step hook) the sampler snapshots a fixed set of Stats counters
+kernel step observer) the sampler snapshots a fixed set of Stats counters
 and records the delta since the previous sample, plus derived rates:
 
 - ``ipc`` — chip-aggregate ops per cycle over the interval;

@@ -1,7 +1,7 @@
 """Kernel hot-path profiler: wall-clock per event-callback owner.
 
-The telemetry step hook peeks the queue head before dispatch and
-times the dispatch with ``perf_counter``; this module aggregates
+The profiler is a kernel step observer: it notes each callback before
+dispatch and times the dispatch with ``perf_counter``; it aggregates
 ``(count, seconds)`` per callback *owner* — the ``__qualname__`` of
 the scheduled function, which for bound methods reads
 ``L3Bank._process`` etc. Sanitizer/telemetry wrappers preserve the
@@ -12,7 +12,7 @@ Wall-clock numbers are host-dependent by nature; they are reported in
 the ``--profile`` artifact but deliberately kept out of Stats and the
 run cache so cached records stay byte-identical across hosts.
 
-Two sample sources feed the accumulator. The step hook times each
+Two sample sources feed the accumulator. The step observer times each
 queue dispatch (:meth:`KernelProfiler.record`). Deliveries the
 network batches inside ``Network._drain_cycle`` — including every
 lane-cached packet — would all land on that one dispatch qualname, so
@@ -25,6 +25,7 @@ counted exactly once.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Dict, List
 
 
@@ -37,6 +38,16 @@ class KernelProfiler:
         # Handler time recorded inside the current dispatch, to be
         # subtracted from the enclosing dispatch sample.
         self._nested_pending = 0.0
+        self._stepping: Any = None
+        self._t0 = 0.0
+
+    def before_step(self, when: int, fn: Any) -> None:
+        """Step observer: note the callback and start its clock."""
+        self._stepping = fn
+        self._t0 = perf_counter()
+
+    def after_step(self) -> None:
+        self.record(self._stepping, perf_counter() - self._t0)
 
     def record(self, fn: Any, seconds: float) -> None:
         nested = self._nested_pending

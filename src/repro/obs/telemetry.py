@@ -35,8 +35,8 @@ Underneath the pillars sits a typed publish/subscribe **event bus**:
 the wrapped component methods ``publish`` :class:`BusEvent` records
 (kind, cycle, tile, human detail, structured data) and any number of
 consumers ``subscribe`` per kind — the span collector, the interval
-sampler's gauges and :class:`~repro.sim.trace.Tracer` are all plain
-subscribers. Publishing with no subscriber for the kind is a
+sampler's gauges and any caller holding ``chip.sim.telemetry`` are
+all plain subscribers. Publishing with no subscriber for the kind is a
 dictionary miss and an integer increment.
 """
 
@@ -57,8 +57,8 @@ PILLARS = ("spans", "interval", "profile", "provenance", "attribution")
 
 DEFAULT_INTERVAL = 10_000
 
-# Every kind the instrumented components publish. The first six match
-# the Tracer's historical vocabulary exactly (sim/trace.py).
+# Every kind the instrumented components publish. The first six are
+# the stream-protocol lifecycle (float -> ... -> end).
 # ``decision`` carries float/no-float/sink/config/follow verdicts with
 # their full policy-input snapshot (provenance pillar, DESIGN.md §11).
 KINDS = (
@@ -73,7 +73,7 @@ class TelemetryConfig:
     """Which pillars are active, and their bounds.
 
     A config with every pillar off is still useful: the event bus and
-    component hooks run, which is what the Tracer needs.
+    component hooks run, so bus subscribers see every event.
     """
 
     spans: bool = False
@@ -176,8 +176,14 @@ class Telemetry:
             from repro.obs.attribution import CycleAccountant
 
             self.attribution = CycleAccountant(self)
-        if self.sampler is not None or self.profiler is not None:
-            self._install_step_hook()
+        # Kernel heartbeat: the profiler times each dispatch, the
+        # sampler checks its period boundary after each one.
+        if self.profiler is not None:
+            sim.add_step_observer(
+                self.profiler.before_step, self.profiler.after_step)
+        if self.sampler is not None:
+            sampler = self.sampler
+            sim.add_step_observer(after=lambda: sampler.on_step(sim.now))
 
     # ------------------------------------------------------------------
     # event bus
@@ -213,39 +219,11 @@ class Telemetry:
         return len(self._alive)
 
     # ------------------------------------------------------------------
-    # kernel heartbeat (profiler attribution + interval cadence)
-    # ------------------------------------------------------------------
-    def _install_step_hook(self) -> None:
-        from time import perf_counter
-
-        sim = self.sim
-        inner_step = sim.step
-        profiler = self.profiler
-        sampler = self.sampler
-
-        def step() -> bool:
-            if profiler is not None:
-                nxt = sim.peek_event()
-                fn = nxt[1] if nxt is not None else None
-                t0 = perf_counter()
-                ran = inner_step()
-                if fn is not None:
-                    profiler.record(fn, perf_counter() - t0)
-            else:
-                ran = inner_step()
-            if sampler is not None:
-                sampler.on_step(sim.now)
-            return ran
-
-        step.__qualname__ = getattr(inner_step, "__qualname__", "Simulator.step")
-        sim.step = step
-
-    # ------------------------------------------------------------------
     # component hooks (sanitizer-style constructor registration)
     # ------------------------------------------------------------------
     def _claim(self, obj: Any) -> bool:
-        """True exactly once per object — guards double wrapping when a
-        component registered at construction is later adopt()-ed."""
+        """True exactly once per object — guards double wrapping when
+        a component is watched twice."""
         if getattr(obj, self._WATCH_FLAG, None) is self:
             return False
         setattr(obj, self._WATCH_FLAG, self)
@@ -279,10 +257,10 @@ class Telemetry:
         net._deliver_at = deliver_at
         if self.profiler is not None:
             # Per-endpoint host-time attribution: the lane cache and
-            # the batched _drain_cycle dispatch make the step hook see
-            # a shared wrapper, so wrap each registration with a timer
-            # that credits the real handler's __qualname__. The step
-            # hook's dispatch sample subtracts this nested time
+            # the batched _drain_cycle dispatch make the step observer
+            # see a shared wrapper, so wrap each registration with a
+            # timer that credits the real handler's __qualname__. The
+            # observer's dispatch sample subtracts this nested time
             # (KernelProfiler.record_inner) to avoid double counting.
             from time import perf_counter
 
@@ -755,28 +733,6 @@ class Telemetry:
                 links=chip.mesh.num_links,
                 cores=chip.mesh.num_tiles,
             )
-
-    # ------------------------------------------------------------------
-    # post-hoc adoption (Tracer, tests, bare rigs)
-    # ------------------------------------------------------------------
-    def adopt(self, chip) -> None:
-        """Install every hook on an already-built chip. Idempotent:
-        components that registered at construction are skipped."""
-        self.watch_network(chip.net)
-        for ctrl in chip.dram.controllers:
-            self.watch_dram(ctrl)
-        for tile in chip.tiles:
-            self.watch_core(tile.core)
-            self.watch_l1(tile.l1)
-            self.watch_l2(tile.l2)
-            self.watch_l3(tile.l3)
-            if tile.se_core is not None:
-                self.watch_se_core(tile.se_core)
-            if tile.se_l2 is not None:
-                self.watch_se_l2(tile.se_l2)
-            if tile.se_l3 is not None:
-                self.watch_se_l3(tile.se_l3)
-        self.watch_chip(chip)
 
     # ------------------------------------------------------------------
     # run completion

@@ -1,9 +1,8 @@
-"""Discrete-event simulation kernel, statistics and tracing."""
+"""Discrete-event simulation kernel, statistics and invariant checks."""
 
 from repro.sim.kernel import Simulator
 from repro.sim.sanitizer import Sanitizer, SanitizerError
 from repro.sim.stats import Histogram, Stats
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
@@ -11,6 +10,4 @@ __all__ = [
     "SanitizerError",
     "Stats",
     "Histogram",
-    "Tracer",
-    "TraceEvent",
 ]

@@ -7,27 +7,22 @@ measured in core clock cycles (the paper's system runs at 2.0 GHz; see
 relative times and executed in (time, insertion-order) order, so the
 simulation is fully deterministic.
 
-Two interchangeable scheduler backends implement those semantics
-(DESIGN.md §10):
+The scheduler is a calendar queue (DESIGN.md §10): a ring of ``RING``
+per-cycle FIFO buckets covering the window ``[now, now + RING)``, with
+a binary heap holding far-future overflow events. Scheduling into the
+window and dispatching are both O(1) appends/indexing with no
+comparisons; overflow events migrate into the ring exactly when the
+window reaches them, before any direct insert for their cycle can
+occur, which preserves the global (time, insertion-order) ordering.
 
-- :class:`CalendarSimulator` (the default) — a calendar queue: a ring
-  of ``RING`` per-cycle FIFO buckets covering the window
-  ``[now, now + RING)``, with a binary heap holding far-future
-  overflow events. Scheduling into the window and dispatching are both
-  O(1) appends/indexing with no comparisons; overflow events migrate
-  into the ring exactly when the window reaches them, before any
-  direct insert for their cycle can occur, which preserves the global
-  (time, insertion-order) ordering bit-for-bit.
-- :class:`HeapSimulator` — the original single ``heapq`` ordered by
-  ``(time, seq)``. Kept as the A/B reference: ``REPRO_KERNEL=heap``
-  selects it, and the equivalence suite asserts identical determinism
-  hashes, event counts and stats against the calendar queue.
+Events at the same cycle run in the order they were scheduled (FIFO
+tie-break), ``run(until=N)`` leaves ``now == N`` even when the queue
+drains early, and fractional schedule times are rejected rather than
+silently truncated.
 
-Both backends share the exact same observable contract: events at the
-same cycle run in the order they were scheduled (FIFO tie-break),
-``run(until=N)`` leaves ``now == N`` even when the queue drains early,
-and fractional schedule times are rejected rather than silently
-truncated.
+Checkers and profilers observe dispatch through one ordered list of
+*step observers* (:meth:`Simulator.add_step_observer`); with none
+registered, ``run()`` takes the inline loop and pays nothing for them.
 """
 
 from __future__ import annotations
@@ -43,39 +38,50 @@ from repro.sim import sanitizer as _sanitizer
 
 ENV_KERNEL = "REPRO_KERNEL"
 
-_KERNELS = ("calendar", "heap")
+# Called with (cycle, callback) just before a dispatch.
+BeforeStep = Callable[[int, Callable[..., Any]], None]
+# Called with no arguments right after the dispatched callback returns.
+AfterStep = Callable[[], None]
 
 
 def kernel_from_env() -> str:
-    """Which scheduler backend ``REPRO_KERNEL`` selects."""
+    """Validate ``REPRO_KERNEL``: the calendar queue is the only
+    kernel, so any other value (including the retired ``heap``) is
+    rejected rather than silently ignored."""
     raw = os.environ.get(ENV_KERNEL, "").strip().lower()
-    if raw in ("", "calendar", "default"):
+    if raw in ("", "calendar"):
         return "calendar"
-    if raw == "heap":
-        return "heap"
     raise ValueError(
-        f"{ENV_KERNEL}={raw!r} names an unknown kernel; valid: {_KERNELS}"
+        f"{ENV_KERNEL}={raw!r} names an unknown kernel; the only kernel "
+        f"is 'calendar'"
     )
 
 
 class Simulator:
-    """A deterministic discrete-event simulator.
+    """A deterministic discrete-event simulator (calendar queue).
 
-    Events scheduled for the same cycle run in the order they were
-    scheduled (FIFO tie-break), which keeps runs reproducible.
-    Instantiating ``Simulator()`` returns the backend selected by
-    ``REPRO_KERNEL`` (calendar queue unless ``heap`` is requested).
+    Invariants (DESIGN.md §10):
+
+    - every pending ring event sits at a cycle in ``[now, now + RING)``
+      in bucket ``when & (RING - 1)``, so a bucket holds events of
+      exactly one cycle at a time and plain append order *is* global
+      insertion order for that cycle;
+    - every overflow-heap event is at a cycle ``>= now + RING``; when
+      ``now`` advances, events falling inside the new window migrate
+      into their buckets immediately — before any direct insert for
+      those cycles is possible — keyed by ``(when, seq)`` so per-cycle
+      FIFO order is preserved across the migration;
+    - buckets are deques consumed from the left as they execute, so a
+      bucket always holds exactly the *pending* events of its cycle;
+      ``can_inline()`` is then a free emptiness test on the current
+      bucket, which is what gates the handler-layer zero-delay
+      fusions (DESIGN.md §12).
     """
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator:
-            cls = (
-                HeapSimulator if kernel_from_env() == "heap"
-                else CalendarSimulator
-            )
-        return object.__new__(cls)
+    RING = 2048  # bucket count; must be a power of two
 
     def __init__(self) -> None:
+        kernel_from_env()  # refuse a stale REPRO_KERNEL such as "heap"
         self.now: int = 0
         self._seq: int = 0
         self._events_executed: int = 0
@@ -85,13 +91,19 @@ class Simulator:
         # holds callbacks in a local list the queue cannot see, so a
         # nested fusion would run ahead of them (DESIGN.md §12).
         self._inline_depth: int = 0
-        self._init_queue()
+        self._mask = self.RING - 1
+        self._buckets: List[deque] = [deque() for _ in range(self.RING)]
+        self._ring_count = 0  # pending events across all buckets
+        self._overflow: List[Tuple[int, int, Callable[..., Any], tuple]] = []
+        self._step_observers: List[
+            Tuple[Optional[BeforeStep], Optional[AfterStep]]
+        ] = []
         # None unless REPRO_SANITIZE enables invariant checking; when
         # attached, components register themselves at construction.
         self.sanitizer = _sanitizer.maybe_attach(self)
         # Same contract for the telemetry layer (REPRO_TELEMETRY).
-        # The sanitizer attaches first so its step hook sits closest
-        # to the kernel and hashes the same event stream either way.
+        # The sanitizer attaches first, so its step observer runs
+        # first and hashes the same event stream either way.
         self.telemetry = _telemetry.maybe_attach(self)
         # Handler fast paths (REPRO_FASTPATH, default on) fuse
         # uncontended event chains into synchronous calls that credit
@@ -108,19 +120,9 @@ class Simulator:
         self.fastpath = _fastpath.enabled() and self.telemetry is None
         self.pooling = self.fastpath and self.sanitizer is None
 
-    # -- backend hooks -------------------------------------------------
-    def _init_queue(self) -> None:
-        raise NotImplementedError
-
-    def _push(self, when: int, fn: Callable[..., Any], args: tuple) -> None:
-        raise NotImplementedError
-
-    def _advance_to(self, when: int) -> None:
-        """Move ``now`` forward to ``when`` (no pending event before
-        it), doing any backend bookkeeping the move requires."""
-        raise NotImplementedError
-
     # -- scheduling ----------------------------------------------------
+    # Scheduling is the single hottest simulator entry point, so the
+    # window test and bucket append happen inline in both methods.
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
 
@@ -138,7 +140,14 @@ class Simulator:
                 )
         if d < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self._push(self.now + d, fn, args)
+        if d < self.RING:
+            self._buckets[(self.now + d) & self._mask].append((fn, args))
+            self._ring_count += 1
+        else:
+            heapq.heappush(
+                self._overflow, (self.now + d, self._seq, fn, args)
+            )
+            self._seq += 1
 
     def schedule_at(self, when: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute cycle ``when``.
@@ -155,17 +164,71 @@ class Simulator:
                 raise ValueError(
                     f"schedule time must be a whole cycle, got {when!r}"
                 )
-        if w < self.now:
+        now = self.now
+        if w < now:
             raise ValueError(
-                f"cannot schedule at cycle {when}, current cycle is {self.now}"
+                f"cannot schedule at cycle {when}, current cycle is {now}"
             )
-        self._push(w, fn, args)
+        if w < now + self.RING:
+            self._buckets[w & self._mask].append((fn, args))
+            self._ring_count += 1
+        else:
+            heapq.heappush(self._overflow, (w, self._seq, fn, args))
+            self._seq += 1
+
+    def _advance_to(self, when: int) -> None:
+        """Move ``now`` forward to ``when`` (no pending event before
+        it), migrating overflow events the new window reaches."""
+        if when == self.now:
+            return
+        self.now = when
+        overflow = self._overflow
+        if overflow and overflow[0][0] < when + self.RING:
+            horizon = when + self.RING
+            buckets = self._buckets
+            mask = self._mask
+            pop = heapq.heappop
+            while overflow and overflow[0][0] < horizon:
+                w, _seq, fn, args = pop(overflow)
+                buckets[w & mask].append((fn, args))
+                self._ring_count += 1
+
+    def _next_cycle(self) -> Optional[int]:
+        """Cycle of the next pending event, or ``None`` if none."""
+        buckets = self._buckets
+        mask = self._mask
+        if buckets[self.now & mask]:
+            return self.now
+        if self._ring_count:
+            c = self.now + 1
+            while not buckets[c & mask]:
+                c += 1
+            return c
+        if self._overflow:
+            return self._overflow[0][0]
+        return None
+
+    # -- observation ---------------------------------------------------
+    def add_step_observer(
+        self,
+        before: Optional[BeforeStep] = None,
+        after: Optional[AfterStep] = None,
+    ) -> None:
+        """Append an observer to the step-observer list.
+
+        Every dispatch calls each registered ``before(when, fn)`` in
+        registration order just before running ``fn``, then each
+        ``after()`` in the same order once it returns. Observers must
+        not schedule events. With the list empty, ``run()`` takes its
+        inline loop and observation costs nothing.
+        """
+        self._step_observers.append((before, after))
 
     # -- introspection -------------------------------------------------
     @property
     def events_pending(self) -> int:
         """Number of events still in the queue."""
-        raise NotImplementedError
+        return self._ring_count + len(self._overflow)
 
     @property
     def events_executed(self) -> int:
@@ -194,21 +257,35 @@ class Simulator:
         (DESIGN.md §12). When another event *is* pending this cycle,
         fusing would jump the queue — callers must fall back to
         ``schedule(0, ...)``."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[int]:
-        """Cycle of the next pending event, or ``None`` if queue empty."""
-        nxt = self.peek_event()
-        return nxt[0] if nxt is not None else None
-
-    def peek_event(self) -> Optional[Tuple[int, Callable[..., Any]]]:
-        """(cycle, callback) of the next pending event, or ``None``."""
-        raise NotImplementedError
+        return (
+            not self._inline_depth
+            and not self._buckets[self.now & self._mask]
+        )
 
     # -- execution -----------------------------------------------------
     def step(self) -> bool:
-        """Run the single next event. Returns False if none remain."""
-        raise NotImplementedError
+        """Run the single next event, notifying the step observers.
+        Returns False if none remain."""
+        when = self._next_cycle()
+        if when is None:
+            return False
+        self._dispatch(when)
+        return True
+
+    def _dispatch(self, when: int) -> None:
+        if when != self.now:
+            self._advance_to(when)
+        fn, args = self._buckets[when & self._mask].popleft()
+        self._ring_count -= 1
+        self._events_executed += 1
+        observers = self._step_observers
+        for before, _after in observers:
+            if before is not None:
+                before(when, fn)
+        fn(*args)
+        for _before, after in observers:
+            if after is not None:
+                after()
 
     def run(
         self,
@@ -218,229 +295,34 @@ class Simulator:
         """Run events until the queue drains.
 
         ``until`` bounds simulated time (events at cycles > ``until``
-        stay queued, and ``now`` advances to ``until`` even when the
-        queue drains first); ``max_events`` bounds the number of events
-        run, which guards against accidental livelock in tests. Returns
-        the current cycle when the run stops.
+        stay queued, and ``now`` advances to ``until`` when no event at
+        or before it remains); ``max_events`` bounds the number of
+        events run, which guards against accidental livelock in tests:
+        the run stops right after the ``max_events``-th event, leaving
+        ``now`` at that event's cycle. Returns the current cycle when
+        the run stops.
         """
-        if "step" in self.__dict__:
-            # A step hook (sanitizer / telemetry profiler) is
-            # installed: dispatch through it, one event at a time.
-            return self._run_hooked(until, max_events)
+        if self._step_observers:
+            return self._run_observed(until, max_events)
         return self._run_fast(until, max_events)
 
-    def _run_hooked(self, until: Optional[int], max_events: Optional[int]) -> int:
+    def _run_observed(
+        self, until: Optional[int], max_events: Optional[int],
+    ) -> int:
+        """``run()`` one dispatch at a time through the observers;
+        same stopping rules as ``_run_fast``."""
         executed = 0
-        step = self.step
         while True:
-            nxt = self.peek_time()
-            if nxt is None:
+            when = self._next_cycle()
+            if when is None or (until is not None and when > until):
                 break
-            if until is not None and nxt > until:
-                break
+            self._dispatch(when)
+            executed += 1
             if max_events is not None and executed >= max_events:
                 return self.now
-            step()
-            executed += 1
         if until is not None and self.now < until:
             self._advance_to(until)
         return self.now
-
-    def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
-        raise NotImplementedError
-
-
-class HeapSimulator(Simulator):
-    """The original single-heap backend (``REPRO_KERNEL=heap``)."""
-
-    def _init_queue(self) -> None:
-        self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
-
-    def _push(self, when: int, fn: Callable[..., Any], args: tuple) -> None:
-        heapq.heappush(self._queue, (when, self._seq, fn, args))
-        self._seq += 1
-
-    def _advance_to(self, when: int) -> None:
-        self.now = when
-
-    @property
-    def events_pending(self) -> int:
-        return len(self._queue)
-
-    def can_inline(self) -> bool:
-        if self._inline_depth:
-            return False
-        queue = self._queue
-        return not queue or queue[0][0] != self.now
-
-    def peek_event(self) -> Optional[Tuple[int, Callable[..., Any]]]:
-        if not self._queue:
-            return None
-        head = self._queue[0]
-        return head[0], head[2]
-
-    def step(self) -> bool:
-        if not self._queue:
-            return False
-        when, _seq, fn, args = heapq.heappop(self._queue)
-        self.now = when
-        self._events_executed += 1
-        fn(*args)
-        return True
-
-    def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
-        queue = self._queue
-        pop = heapq.heappop
-        executed = 0
-        while queue:
-            if until is not None and queue[0][0] > until:
-                break
-            if max_events is not None and executed >= max_events:
-                return self.now
-            when, _seq, fn, args = pop(queue)
-            self.now = when
-            self._events_executed += 1
-            fn(*args)
-            executed += 1
-        if until is not None and self.now < until:
-            self.now = until
-        return self.now
-
-
-class CalendarSimulator(Simulator):
-    """Calendar-queue backend: per-cycle FIFO buckets + overflow heap.
-
-    Invariants (DESIGN.md §10):
-
-    - every pending ring event sits at a cycle in ``[now, now + RING)``
-      in bucket ``when & (RING - 1)``, so a bucket holds events of
-      exactly one cycle at a time and plain append order *is* global
-      insertion order for that cycle;
-    - every overflow-heap event is at a cycle ``>= now + RING``; when
-      ``now`` advances, events falling inside the new window migrate
-      into their buckets immediately — before any direct insert for
-      those cycles is possible — keyed by ``(when, seq)`` so per-cycle
-      FIFO order is preserved across the migration;
-    - buckets are deques consumed from the left as they execute, so a
-      bucket always holds exactly the *pending* events of its cycle;
-      ``can_inline()`` is then a free emptiness test on the current
-      bucket, which is what gates the handler-layer zero-delay
-      fusions (DESIGN.md §12).
-    """
-
-    RING = 2048  # bucket count; must be a power of two
-
-    def _init_queue(self) -> None:
-        self._mask = self.RING - 1
-        self._buckets: List[deque] = [deque() for _ in range(self.RING)]
-        self._ring_count = 0  # pending events across all buckets
-        self._overflow: List[Tuple[int, int, Callable[..., Any], tuple]] = []
-
-    def _push(self, when: int, fn: Callable[..., Any], args: tuple) -> None:
-        if when < self.now + self.RING:
-            self._buckets[when & self._mask].append((fn, args))
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (when, self._seq, fn, args))
-            self._seq += 1
-
-    # Inline overrides of the base implementations: scheduling is the
-    # single hottest simulator entry point, so the window test and
-    # bucket append happen right here instead of through ``_push``.
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        if type(delay) is int:
-            d = delay
-        else:
-            d = int(delay)
-            if d != delay:
-                raise ValueError(
-                    f"delay must be a whole number of cycles, got {delay!r}"
-                )
-        if d < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        if d < self.RING:
-            self._buckets[(self.now + d) & self._mask].append((fn, args))
-            self._ring_count += 1
-        else:
-            heapq.heappush(
-                self._overflow, (self.now + d, self._seq, fn, args)
-            )
-            self._seq += 1
-
-    def schedule_at(self, when: int, fn: Callable[..., Any], *args: Any) -> None:
-        if type(when) is int:
-            w = when
-        else:
-            w = int(when)
-            if w != when:
-                raise ValueError(
-                    f"schedule time must be a whole cycle, got {when!r}"
-                )
-        now = self.now
-        if w < now:
-            raise ValueError(
-                f"cannot schedule at cycle {when}, current cycle is {now}"
-            )
-        if w < now + self.RING:
-            self._buckets[w & self._mask].append((fn, args))
-            self._ring_count += 1
-        else:
-            heapq.heappush(self._overflow, (w, self._seq, fn, args))
-            self._seq += 1
-
-    def _advance_to(self, when: int) -> None:
-        if when == self.now:
-            return
-        self.now = when
-        overflow = self._overflow
-        if overflow and overflow[0][0] < when + self.RING:
-            horizon = when + self.RING
-            buckets = self._buckets
-            mask = self._mask
-            pop = heapq.heappop
-            while overflow and overflow[0][0] < horizon:
-                w, _seq, fn, args = pop(overflow)
-                buckets[w & mask].append((fn, args))
-                self._ring_count += 1
-
-    @property
-    def events_pending(self) -> int:
-        return self._ring_count + len(self._overflow)
-
-    def can_inline(self) -> bool:
-        return (
-            not self._inline_depth
-            and not self._buckets[self.now & self._mask]
-        )
-
-    def peek_event(self) -> Optional[Tuple[int, Callable[..., Any]]]:
-        bucket = self._buckets[self.now & self._mask]
-        if bucket:
-            return self.now, bucket[0][0]
-        if self._ring_count:
-            buckets = self._buckets
-            mask = self._mask
-            c = self.now + 1
-            while not buckets[c & mask]:
-                c += 1
-            return c, buckets[c & mask][0][0]
-        if self._overflow:
-            head = self._overflow[0]
-            return head[0], head[2]
-        return None
-
-    def step(self) -> bool:
-        nxt = self.peek_event()
-        if nxt is None:
-            return False
-        when = nxt[0]
-        if when != self.now:
-            self._advance_to(when)
-        fn, args = self._buckets[when & self._mask].popleft()
-        self._ring_count -= 1
-        self._events_executed += 1
-        fn(*args)
-        return True
 
     def _run_fast(self, until: Optional[int], max_events: Optional[int]) -> int:
         buckets = self._buckets

@@ -53,6 +53,19 @@ def enabled_by_env() -> bool:
     return os.environ.get(ENV_SANITIZE, "").strip().lower() not in _OFF_VALUES
 
 
+def handler_name(fn) -> str:
+    """The name S5 records for a dispatched callback."""
+    return getattr(fn, "__qualname__", None) or type(fn).__name__
+
+
+def s5_crc(crc: int, when: int, name: str) -> int:
+    """Fold one dispatched ``(cycle, handler name)`` pair into the S5
+    determinism CRC. The sanitizer's trace hash and the divergence
+    recorder's checkpoints both go through here, so they always
+    describe the same stream."""
+    return zlib.crc32(b"%d|%s" % (when, name.encode()), crc)
+
+
 def maybe_attach(sim) -> Optional["Sanitizer"]:
     """Attach a sanitizer to ``sim`` iff the environment enables it."""
     if enabled_by_env():
@@ -138,7 +151,7 @@ class Sanitizer:
         self._terms: Dict[Tuple[int, int, int], int] = {}
         self._granted: Dict[Tuple[int, int], int] = {}
         self._consumed: Dict[Tuple[int, int], int] = {}
-        self._install_step_hook()
+        sim.add_step_observer(self._observe_step)
 
     # ------------------------------------------------------------------
     # failure reporting
@@ -161,22 +174,11 @@ class Sanitizer:
     def trace_events(self) -> int:
         return self._hashed
 
-    def _install_step_hook(self) -> None:
-        sim = self.sim
-        inner_step = sim.step
-
-        def step() -> bool:
-            nxt = sim.peek_event()
-            if nxt is not None:
-                when, fn = nxt
-                name = getattr(fn, "__qualname__", None) or type(fn).__name__
-                self._crc = zlib.crc32(b"%d|%s" % (when, name.encode()), self._crc)
-                self._hashed += 1
-                if self._hashed % self.SCAN_PERIOD == 0:
-                    self._periodic_scan()
-            return inner_step()
-
-        sim.step = step
+    def _observe_step(self, when: int, fn) -> None:
+        self._crc = s5_crc(self._crc, when, handler_name(fn))
+        self._hashed += 1
+        if self._hashed % self.SCAN_PERIOD == 0:
+            self._periodic_scan()
 
     def _periodic_scan(self) -> None:
         now = self.sim.now

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.harness`` CLI."""
 
+import os
+
 import pytest
 
 from repro.harness.__main__ import main
@@ -171,13 +173,30 @@ def test_cli_telemetry_parallel_jobs(tmp_path, capsys):
 
     # Same run serially: report text is byte-identical.
     clear_cache()
-    assert main(args) == 0
+    assert main(args + [
+        "--interval-out", str(tmp_path / "serial.intervals.jsonl"),
+    ]) == 0
     serial_out = capsys.readouterr().out
 
     def report_lines(out):
         return [l for l in out.splitlines() if not l.startswith("[fig13")]
 
     assert report_lines(serial_out) == report_lines(captured.out)
+
+
+def test_cli_telemetry_without_out_paths_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    """--interval-stats / --profile without their --*-out paths still
+    sample and print the profile report, but write no file into the
+    working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "fig2", "--cols", "2", "--rows", "2", "--scale", "64",
+        "--workloads", "nn", "--no-cache",
+        "--interval-stats", "5000", "--profile",
+    ]) == 0
+    assert "us/event" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_telemetry_warns_on_all_cache_hits(tmp_path, capsys):

@@ -6,12 +6,14 @@ import pytest
 from repro.obs.divergence import (
     Divergence,
     TraceRecorder,
+    figure_point_variant,
     localize,
 )
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------------
-# scripted simulator double (deterministic, reorderable event stream)
+# scripted event streams on the real kernel
 # ----------------------------------------------------------------------
 def _handler(name):
     def fn():
@@ -21,36 +23,18 @@ def _handler(name):
     return fn
 
 
-class ScriptedSim:
-    """Minimal Simulator double: a fixed (cycle, handler) schedule,
-    dispatched through ``step`` so a step-hook wrap sees every event
-    exactly like on the real backends."""
-
-    def __init__(self, events):
-        self._events = [(when, _handler(name)) for when, name in events]
-        self._i = 0
-
-    def peek_event(self):
-        if self._i < len(self._events):
-            return self._events[self._i]
-        return None
-
-    def step(self):
-        when, fn = self._events[self._i]
-        self._i += 1
-        fn()
-        return self._i < len(self._events)
-
-    def run(self):
-        if not self._events:
-            return
-        while self.step():
-            pass
+def _scripted_sim(events):
+    """A Simulator holding a fixed (cycle, handler) schedule; events
+    scheduled in list order keep that order within a cycle (FIFO)."""
+    sim = Simulator()
+    for when, name in events:
+        sim.schedule_at(when, _handler(name))
+    return sim
 
 
 def _variant(events):
     def run(attach):
-        sim = ScriptedSim(events)
+        sim = _scripted_sim(events)
         recorder = attach(sim)
         sim.run()
         return recorder
@@ -78,7 +62,7 @@ def test_recorder_checkpoints_and_window():
 
 def test_recorder_rejects_bad_period():
     with pytest.raises(ValueError):
-        TraceRecorder(ScriptedSim([]), checkpoint_every=0)
+        TraceRecorder(Simulator(), checkpoint_every=0)
 
 
 # ----------------------------------------------------------------------
@@ -159,17 +143,9 @@ def test_recorder_matches_sanitizer_s5_hash():
     """The recorder must hash the identical stream the sanitizer's S5
     trace hashes — otherwise its checkpoints would localize a
     *different* divergence than the one the CI gate reported."""
-    from repro.system.chip import Chip
-    from repro.system.configs import make_config
-    from repro.workloads.base import build_programs
-
-    system = make_config("sf", core="ooo8", cols=2, rows=2, scale=8,
-                         link_bits=256, l3_interleave=None)
-    chip = Chip(system)
-    recorder = TraceRecorder(chip.sim, checkpoint_every=4096)
-    programs = build_programs("mv", chip.num_cores, scale=8, seed=0)
-    result = chip.run(programs)
-    stats = result.stats.as_dict()
-    assert stats.get("sanitizer.trace_events", 0) > 0
-    assert recorder.events == stats["sanitizer.trace_events"]
-    assert recorder.crc == stats["sanitizer.trace_hash"]
+    run = figure_point_variant("mv", "sf", cols=2, rows=2, scale=8)
+    recorder = run(lambda sim: TraceRecorder(sim, checkpoint_every=4096))
+    sanitizer = recorder.sim.sanitizer
+    assert sanitizer.trace_events > 0
+    assert recorder.events == sanitizer.trace_events
+    assert recorder.crc == sanitizer.trace_hash

@@ -29,8 +29,8 @@ def test_disabled_without_env():
     assert not enabled_by_env()
     sim = Simulator()
     assert sim.telemetry is None
-    # Zero-cost off: no step hook (the sanitizer is also off here)...
-    assert "step" not in sim.__dict__
+    # Zero-cost off: no step observer (the sanitizer is also off)...
+    assert not sim._step_observers
     # ...and no component wraps its entry points.
     hier = MiniHierarchy()
     assert hier.net._deliver_at.__qualname__.startswith("Network.")
@@ -85,7 +85,7 @@ def test_env_attach_installs_hooks(monkeypatch):
     assert tel is not None
     assert tel.spans is not None
     assert tel.sampler is None and tel.profiler is None
-    # spans alone needs no step hook; the sanitizer's is fine.
+    # spans alone needs no step observer; the sanitizer's is fine.
     results = []
     hier.read(0, BASE, results)
     hier.run()
@@ -98,8 +98,9 @@ def test_env_attach_installs_hooks(monkeypatch):
 def test_step_hook_only_for_interval_or_profile(monkeypatch):
     monkeypatch.setenv(ENV_TELEMETRY, "profile")
     sim = Simulator()
-    assert sim.telemetry.profiler is not None
-    assert "step" in sim.__dict__
+    profiler = sim.telemetry.profiler
+    assert profiler is not None
+    assert (profiler.before_step, profiler.after_step) in sim._step_observers
 
 
 # ----------------------------------------------------------------------
@@ -185,3 +186,60 @@ def test_telemetry_does_not_change_simulation(monkeypatch):
     hier2.run()
     assert (hier2.sim.now, results2) == plain
     assert hier2.sim.telemetry.bus_events > 0
+
+
+# ----------------------------------------------------------------------
+# bus subscriptions on a full chip (stream-protocol lifecycle)
+# ----------------------------------------------------------------------
+def _hotspot_chip():
+    from repro.system import Chip, make_config
+
+    return Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=32))
+
+
+def _subscribed_hotspot_run(monkeypatch, kinds):
+    """Build an sf chip with telemetry on (REPRO_TELEMETRY during
+    construction, as the harness does), subscribe to ``kinds`` and
+    run hotspot; returns the run result and the received events."""
+    from repro.workloads import build_programs
+
+    monkeypatch.setenv(ENV_TELEMETRY, "provenance")
+    chip = _hotspot_chip()
+    monkeypatch.delenv(ENV_TELEMETRY)
+    events = []
+    for kind in kinds:
+        chip.sim.telemetry.subscribe(kind, events.append)
+    result = chip.run(build_programs("hotspot", chip.num_cores, scale=32))
+    return result, events
+
+
+def test_bus_subscription_filters_by_kind(monkeypatch):
+    _result, events = _subscribed_hotspot_run(monkeypatch, ("float", "migrate"))
+    assert {ev.kind for ev in events} == {"float", "migrate"}
+
+
+def test_bus_events_are_time_ordered(monkeypatch):
+    _result, events = _subscribed_hotspot_run(
+        monkeypatch, ("float", "sink", "migrate", "end"))
+    cycles = [ev.cycle for ev in events]
+    assert cycles and cycles == sorted(cycles)
+
+
+def test_bus_subscription_does_not_change_results(monkeypatch):
+    from repro.obs.telemetry import KINDS
+    from repro.workloads import build_programs
+
+    observed, events = _subscribed_hotspot_run(monkeypatch, KINDS)
+    assert events
+    chip = _hotspot_chip()
+    assert chip.sim.telemetry is None
+    plain = chip.run(build_programs("hotspot", chip.num_cores, scale=32))
+    assert observed.cycles == plain.cycles
+
+    # Telemetry counters and the S5 event-stream hash (telemetry vetoes
+    # fusion) aside, every architectural stat is identical.
+    def architectural(stats):
+        return {name: value for name, value in stats.as_dict().items()
+                if not name.startswith(("telemetry.", "sanitizer."))}
+
+    assert architectural(observed.stats) == architectural(plain.stats)

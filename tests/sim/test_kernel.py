@@ -97,10 +97,11 @@ def test_run_max_events_bound():
 
 def test_step_and_peek():
     sim = Simulator()
-    assert sim.peek_time() is None
+    assert sim.events_pending == 0
     assert sim.step() is False
     sim.schedule(4, lambda: None)
-    assert sim.peek_time() == 4
+    assert sim.events_pending == 1
     assert sim.step() is True
+    assert sim.events_pending == 0
     assert sim.now == 4
     assert sim.events_executed == 1

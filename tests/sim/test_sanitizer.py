@@ -40,8 +40,8 @@ def test_disabled_without_env():
     assert not enabled_by_env()
     sim = Simulator()
     assert sim.sanitizer is None
-    # Zero-cost off: the step hook is never installed...
-    assert "step" not in sim.__dict__
+    # Zero-cost off: no step observer is ever registered...
+    assert not sim._step_observers
     # ...and no component wraps its entry points.
     hier = MiniHierarchy()
     assert hier.net._deliver_at.__qualname__.startswith("Network.")
@@ -59,7 +59,7 @@ def test_enabled_by_fixture():
     assert enabled_by_env()
     sim = Simulator()
     assert sim.sanitizer is not None
-    assert "step" in sim.__dict__
+    assert sim._step_observers == [(sim.sanitizer._observe_step, None)]
 
 
 def test_clean_run_passes_final_check():
