@@ -8,8 +8,8 @@ and for debugging new workloads: a stream that floats and immediately
 sinks, or that migrates every few elements, shows up here at a glance.
 
 Telemetry attaches the way the harness attaches it: ``REPRO_TELEMETRY``
-names the pillars while the chip is built, and every component
-registers its hooks with the bus at construction.
+names the pillars while the chip is built, and every component keeps
+the bus from construction and publishes its own events to it.
 
 Run:  python examples/stream_lifecycle.py
 """

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.mem.addr import PAGE_SHIFT
+from repro.mem.addr import PAGE_SHIFT, line_addr
 from repro.noc.message import CTRL, DATA, Packet, data_payload_bits
 from repro.mem.coherence import CohMsg, release_msg
 from repro.noc.network import Network
@@ -41,16 +41,11 @@ class DramController:
         self.access_latency = access_latency
         self.cycles_per_line = cycles_per_line
         self._busy_until = 0
-        # Telemetry tag: completion cycle of the most recent service
-        # (access latency on top of the channel-serialization queue).
-        self.last_done = 0
+        self._tel = getattr(sim, "telemetry", None)
         self._pooling = getattr(sim, "pooling", False)
         self._c_reads = stats.counter("dram.reads")
         self._c_writes = stats.counter("dram.writes")
         net.register(tile, "dram", self.handle)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_dram(self)
 
     def handle(self, pkt: Packet) -> None:
         msg: CohMsg = pkt.body
@@ -70,9 +65,14 @@ class DramController:
             ))
         elif msg.op == "MemWrite":
             self._c_writes[0] += 1
-            self._service()
+            done = self._service()
         else:
             raise ValueError(f"DRAM controller got unexpected op {msg.op!r}")
+        if self._tel is not None:
+            self._tel.publish(
+                "dram", tile=self.tile, detail=f"{msg.op} {msg.addr:#x}",
+                addr=line_addr(msg.addr), op=msg.op, done=done,
+            )
         if self._pooling:
             # MemRead/MemWrite are consumed fully above (the MemData
             # response copies what it needs), so the body recycles.
@@ -82,8 +82,7 @@ class DramController:
         """Reserve the channel for one line; returns completion cycle."""
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + self.cycles_per_line
-        self.last_done = start + self.access_latency
-        return self.last_done
+        return start + self.access_latency
 
 
 class DramSystem:

@@ -96,10 +96,7 @@ class L1Cache:
         self._avoid_inflight = self.mshr._entries.__contains__
         self._overflow: List[L1Request] = []
         self.prefetcher = None  # L1 stride or Bingo, wired by the tile
-        # Telemetry hop-reason tag: why the most recent _fill resolved
-        # the way it did ("fill" cached, "uncached" stream data,
-        # "drop" rejected prefetch re-issue).
-        self.last_fill_reason = "fill"
+        self._tel = getattr(sim, "telemetry", None)
         self._fast = getattr(sim, "fastpath", False)
         self._c_hits = stats.counter("l1.hits")
         self._c_misses = stats.counter("l1.misses")
@@ -108,9 +105,6 @@ class L1Cache:
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_l1(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l1(self)
 
     # ------------------------------------------------------------------
     def access(self, req: L1Request) -> None:
@@ -155,36 +149,37 @@ class L1Cache:
             entry.is_write = entry.is_write or req.is_write
             entry.is_prefetch_only = entry.is_prefetch_only and req.prefetch
             entry.waiters.append(req)
-            return
-        if self.mshr.full:
+        elif self.mshr.full:
             if req.prefetch:
                 self.stats.add("l1.prefetch_dropped")
-                return
-            self._overflow.append(req)
-            return
-        entry = self.mshr.allocate(base, self.sim.now)
-        entry.is_write = req.is_write
-        entry.is_prefetch_only = req.prefetch
-        entry.waiters.append(req)
-        l2_req = L2Request(
-            addr=base,
-            is_write=req.is_write,
-            prefetch=req.prefetch,
-            stream_id=req.stream_id,
-            element=req.element,
-            floating=req.floating,
-            op_id=req.op_id,
-            on_done=lambda result: self._fill(base, result),
-        )
-        self.sim.schedule(self.latency, self.l2.access, l2_req)
+            else:
+                self._overflow.append(req)
+        else:
+            new = self.mshr.allocate(base, self.sim.now)
+            new.is_write = req.is_write
+            new.is_prefetch_only = req.prefetch
+            new.waiters.append(req)
+            l2_req = L2Request(
+                addr=base,
+                is_write=req.is_write,
+                prefetch=req.prefetch,
+                stream_id=req.stream_id,
+                element=req.element,
+                floating=req.floating,
+                op_id=req.op_id,
+                on_done=lambda result: self._fill(base, result),
+            )
+            self.sim.schedule(self.latency, self.l2.access, l2_req)
+        if self._tel is not None:
+            self._tel.publish(
+                "l1_miss", tile=self.tile, detail=f"{base:#x}",
+                addr=base, write=req.is_write, prefetch=req.prefetch,
+                fresh=entry is None, sid=req.stream_id,
+                floating=req.floating,
+            )
 
     def _fill(self, base: int, result: L2AccessResult) -> None:
         entry = self.mshr.release(base)
-        self.last_fill_reason = (
-            "drop" if result.dropped
-            else "uncached" if result.uncached
-            else "fill"
-        )
         if result.dropped:
             # The L2 rejected our prefetch. Re-issue for any demand
             # requests that merged into the entry meanwhile.
@@ -193,6 +188,10 @@ class L1Cache:
                     self._miss(waiter)
             self._drain_overflow()
             self.mshr.recycle(entry)
+            if self._tel is not None:
+                self._tel.publish("l1_fill", tile=self.tile,
+                                  detail=f"{base:#x}", addr=base,
+                                  reason="drop")
             return
         # The L2's grant may be stale: a downgrade or invalidation can
         # land during the response latency window, after the L2 decided
@@ -258,6 +257,10 @@ class L1Cache:
                     sim.schedule(0, waiter.on_done)
             self._drain_overflow()
         self.mshr.recycle(entry)
+        if self._tel is not None:
+            self._tel.publish("l1_fill", tile=self.tile, detail=f"{base:#x}",
+                              addr=base,
+                              reason="uncached" if result.uncached else "fill")
 
     def _writeback_to_l2(self, addr: int) -> None:
         """Dirty L1 victim folds into the (inclusive) L2 copy."""

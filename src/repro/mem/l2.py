@@ -140,10 +140,7 @@ class L2Cache:
         self.on_l1_downgrade: Optional[Callable[[int], None]] = None
         self.prefetcher = None  # L2 stride prefetcher (trained on misses)
         self.bulk = None  # optional bulk-prefetch request grouper
-        # Telemetry hop-reason tag: how the most recent _miss left the
-        # L2 ("gets"/"getx"/"bulk" sent to the home bank, "merge" rode
-        # an in-flight MSHR entry, "overflow"/"prefetch_drop" parked).
-        self.last_miss_kind = ""
+        self._tel = getattr(sim, "telemetry", None)
         self._fast = getattr(sim, "fastpath", False)
         self._pooling = getattr(sim, "pooling", False)
         # A line-sized Data response always serializes to the same flit
@@ -157,9 +154,6 @@ class L2Cache:
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_l2(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l2(self)
 
     def _sp(self, name: str, amount: float = 1) -> None:
         self.stats.add(name, amount)
@@ -216,50 +210,59 @@ class L2Cache:
         base = req.addr & _LINE_MASK
         upgrade = line is not None  # write hit in S: needs GetX, no fill
         entry = self.mshr.lookup(base)
+        # How the miss left the L2, for the l2_miss probe: "gets"/
+        # "getx"/"bulk" went to the home bank, "merge" rode an
+        # in-flight MSHR entry, "overflow"/"prefetch_drop" parked.
         if entry is not None:
-            self.last_miss_kind = "merge"
+            via = "merge"
             entry.is_write = entry.is_write or req.is_write
             entry.is_prefetch_only = entry.is_prefetch_only and req.prefetch
             if req.on_done is not None:
                 entry.waiters.append(req)
-            return
-        if self.mshr.full:
+        elif self.mshr.full:
             if req.prefetch:
-                self.last_miss_kind = "prefetch_drop"
+                via = "prefetch_drop"
                 self._sp("l2.prefetch_dropped")
                 if req.on_done is not None:
                     # Tell the L1 so it releases its own MSHR entry.
                     self.sim.schedule(1, req.on_done, L2AccessResult(
                         addr=base, writable=False, dropped=True,
                     ))
-                return
-            self.last_miss_kind = "overflow"
-            self._overflow.append(req)
-            return
-        entry = self.mshr.allocate(base, self.sim.now)
-        entry.is_write = req.is_write
-        entry.is_prefetch_only = req.prefetch
-        if req.on_done is not None:
-            entry.waiters.append(req)
-        entry.meta["stream_id"] = req.stream_id
-        entry.meta["prefetch"] = req.prefetch
-        entry.meta["upgrade"] = upgrade
-        entry.meta["req_flits"] = 0
-        op = "GetX" if req.is_write else "GetS"
-        home = self.nuca.bank_of(base)
-        source = "core_stream" if req.stream_id is not None else "core"
-        msg = CohMsg(op=op, addr=base, requester=self.tile, source=source)
-        if self.bulk is not None and req.prefetch and op == "GetS":
-            self.last_miss_kind = "bulk"
-            self.bulk.enqueue(home, msg, entry)
-            return
-        self.last_miss_kind = "getx" if req.is_write else "gets"
-        # Body stays a plain allocation: L3-bound requests may be
-        # parked in the bank's MSHR meta, so they never pool.
-        info = self.net.send_new(
-            self.tile, home, CTRL, control_payload_bits(), "l3", body=msg,
-        )
-        entry.meta["req_flits"] = info.flits
+            else:
+                via = "overflow"
+                self._overflow.append(req)
+        else:
+            new = self.mshr.allocate(base, self.sim.now)
+            new.is_write = req.is_write
+            new.is_prefetch_only = req.prefetch
+            if req.on_done is not None:
+                new.waiters.append(req)
+            new.meta["stream_id"] = req.stream_id
+            new.meta["prefetch"] = req.prefetch
+            new.meta["upgrade"] = upgrade
+            new.meta["req_flits"] = 0
+            op = "GetX" if req.is_write else "GetS"
+            home = self.nuca.bank_of(base)
+            source = "core_stream" if req.stream_id is not None else "core"
+            msg = CohMsg(op=op, addr=base, requester=self.tile, source=source)
+            if self.bulk is not None and req.prefetch and op == "GetS":
+                via = "bulk"
+                self.bulk.enqueue(home, msg, new)
+            else:
+                via = "getx" if req.is_write else "gets"
+                # Body stays a plain allocation: L3-bound requests may be
+                # parked in the bank's MSHR meta, so they never pool.
+                info = self.net.send_new(
+                    self.tile, home, CTRL, control_payload_bits(), "l3",
+                    body=msg,
+                )
+                new.meta["req_flits"] = info.flits
+        if self._tel is not None:
+            self._tel.publish(
+                "l2_miss", tile=self.tile, detail=f"{base:#x}",
+                addr=base, write=req.is_write, prefetch=req.prefetch,
+                fresh=entry is None, via=via,
+            )
 
     # ------------------------------------------------------------------
     # network ingress
@@ -319,6 +322,9 @@ class L2Cache:
                 self._respond(waiter, writable=writable, delay=0)
             self._drain_overflow()
         self.mshr.recycle(entry)
+        if self._tel is not None:
+            self._tel.publish("l2_data", tile=self.tile, detail=f"{base:#x}",
+                              addr=base, src=pkt.src)
 
     def _fill(self, base: int, msg: CohMsg, entry, resp_flits: int) -> None:
         state = msg.grant or SHARED

@@ -92,9 +92,7 @@ class L3Bank:
         self.dir = Directory()
         self.mshr = MshrFile(mshrs)
         self._waitq: List[tuple] = []  # requests waiting for a free MSHR
-        # Telemetry hop-reason tag: the most recent _demand's verdict
-        # ("hit", "miss", "forward", "queued", "mshr_wait").
-        self.last_outcome = ""
+        self._tel = getattr(sim, "telemetry", None)
         self.dram = dram
         # Interned counter cells for the bank's hottest stats
         # (DESIGN.md §12); cells are shared across banks by name.
@@ -111,9 +109,6 @@ class L3Bank:
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_l3(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_l3(self)
 
     # ------------------------------------------------------------------
     # entry points
@@ -140,6 +135,12 @@ class L3Bank:
         request). No directory state is modified. ``category`` labels
         the request for Figure 14 (affine / indirect / confluence).
         """
+        if self._tel is not None:
+            self._tel.publish(
+                "getu", tile=self.tile, detail=f"sid {stream_id} elem {element}",
+                addr=addr & _LINE_MASK, requester=requester, sid=stream_id,
+                element=element, category=category,
+            )
         msg = CohMsg(
             op="GetU", addr=addr, requester=requester,
             data_bytes=data_bytes, stream_id=stream_id, element=element,
@@ -192,8 +193,9 @@ class L3Bank:
         entry = self.mshr.lookup(base)
         if entry is not None:
             # Line transaction in flight: queue and replay later.
-            self.last_outcome = "queued"
             entry.meta.setdefault("queued", []).append((src, msg))
+            if self._tel is not None:
+                self._publish_demand(msg, "queued")
             return
         op = msg.op
         if not msg.seen:
@@ -208,13 +210,13 @@ class L3Bank:
         ent = self.dir.peek(base)
         owner = ent.owner if ent else None
         if owner is not None and owner != msg.requester:
-            self.last_outcome = "forward"
             self._forward_to_owner(owner, src, msg)
+            if self._tel is not None:
+                self._publish_demand(msg, "forward")
             return
 
         line = self.array.lookup(base)
         if line is not None:
-            self.last_outcome = "hit"
             self._c_hits[0] += 1
             if ent is None and op == "GetS":
                 # Uncontended GetS shortcut: no directory entry means
@@ -228,18 +230,20 @@ class L3Bank:
                     body=acquire_msg("Data", base, msg.requester,
                                      grant=EXCLUSIVE),
                 )
-                return
-            self._satisfy(msg, line_dirty=line.dirty)
+            else:
+                self._satisfy(msg, line_dirty=line.dirty)
+            if self._tel is not None:
+                self._publish_demand(msg, "hit")
             return
 
         # LLC miss: fetch from memory.
         if self.mshr.full:
             # Park in the bank's wait queue until an MSHR frees up.
-            self.last_outcome = "mshr_wait"
             self._waitq.append((src, msg))
             self.stats.add("l3.mshr_full_waits")
+            if self._tel is not None:
+                self._publish_demand(msg, "mshr_wait")
             return
-        self.last_outcome = "miss"
         self._c_misses[0] += 1
         entry = self.mshr.allocate(base, self.sim.now)
         entry.meta["head"] = (src, msg)
@@ -247,6 +251,18 @@ class L3Bank:
         self.net.send_new(
             self.tile, dram_tile, CTRL, control_payload_bits(), "dram",
             body=acquire_msg("MemRead", addr=base, requester=self.tile),
+        )
+        if self._tel is not None:
+            self._publish_demand(msg, "miss")
+
+    def _publish_demand(self, msg: CohMsg, outcome: str) -> None:
+        """The ``l3_demand`` probe, run as ``_demand`` leaves with
+        ``outcome`` ("queued", "forward", "hit", "mshr_wait", "miss")."""
+        base = msg.addr & _LINE_MASK
+        self._tel.publish(
+            "l3_demand", tile=self.tile, detail=f"{msg.op} {base:#x} {outcome}",
+            addr=base, op=msg.op, requester=msg.requester, lat=self.latency,
+            outcome=outcome,
         )
 
     def _forward_to_owner(self, owner: int, src: int, msg: CohMsg) -> None:

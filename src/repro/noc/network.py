@@ -29,6 +29,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 
 Handler = Callable[[Packet], None]
+# Delivery-observer callbacks (Network.add_delivery_observer).
+Inject = Callable[[Packet, int, Iterable[Link], int], None]
+Handled = Callable[[Handler, Packet], None]
 
 
 @dataclass
@@ -69,8 +72,8 @@ class Network:
         # Lane cache: everything static per (src, dst, kind, payload,
         # port) — route, flit count, stat cells, the local pseudo-link,
         # and a shared DeliveryInfo (callers only read it) — so send()
-        # runs traversal, accounting and delivery scheduling without
-        # calling _traverse/_record/_deliver_at per packet.
+        # runs traversal, accounting and delivery scheduling inline
+        # instead of calling _record/_deliver_at per packet.
         self._lanes: Dict[Tuple[int, int, str, int, str], tuple] = {}
         self._tree_cache: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
         # Deliveries arriving at the same cycle share one kernel event:
@@ -84,20 +87,17 @@ class Network:
         # (sim.pooling), which may retain packet references.
         self._pooling = getattr(sim, "pooling", False)
         self._pkt_free: List[Packet] = []
-        # The network is built before every endpoint, so registering
-        # here lets the sanitizer wrap all handlers as they attach.
+        # Delivery observers (add_delivery_observer). While the list is
+        # non-empty, send() leaves its fused path for _deliver_at.
+        self._observers: List[
+            Tuple[Optional[Inject], Optional[Handled], Optional[Handled]]
+        ] = []
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_network(self)
         tel = getattr(sim, "telemetry", None)
         if tel is not None:
             tel.watch_network(self)
-        # Observers (sanitizer/telemetry) interpose on _deliver_at by
-        # assigning an instance attribute; when they do, send() must
-        # route deliveries through the wrapper instead of appending to
-        # the arrival batch directly. All wrapping happens above, so
-        # one check here covers the network's lifetime.
-        self._observed = "_deliver_at" in self.__dict__
 
     # ------------------------------------------------------------------
     # wiring
@@ -108,6 +108,25 @@ class Network:
         if key in self._handlers:
             raise ValueError(f"handler already registered for {key}")
         self._handlers[key] = handler
+
+    def add_delivery_observer(
+        self,
+        inject: Optional[Inject] = None,
+        before: Optional[Handled] = None,
+        after: Optional[Handled] = None,
+    ) -> None:
+        """Append an observer to the delivery-observer list.
+
+        ``inject(packet, when, links, flits)`` runs as each packet is
+        scheduled to arrive at cycle ``when``; ``links`` are the mesh
+        links that injection reserves for ``flits`` flits (a multicast
+        passes its unique tree links with its first leg only).
+        ``before(handler, packet)`` runs just before the endpoint
+        handler and ``after(handler, packet)`` just after it, in
+        reverse registration order so observers nest like wrappers.
+        Observers must not send packets.
+        """
+        self._observers.append((inject, before, after))
 
     # ------------------------------------------------------------------
     # unicast
@@ -146,8 +165,8 @@ class Network:
         This is the fused hot path (DESIGN.md §12): one lane-cache
         probe replaces the per-packet route/flits/handler/stat-cell
         lookups, and traversal, accounting and delivery scheduling run
-        inline instead of as three method calls. The timing math is
-        byte-for-byte the old _traverse/_deliver_at logic.
+        inline instead of as three method calls. With a delivery
+        observer registered, scheduling goes through _deliver_at.
         """
         lanes = self._lanes
         key = (packet.src, packet.dst, packet.kind,
@@ -169,7 +188,10 @@ class Network:
             head = depart + hop
         if local_link is not None:
             # Same-tile delivery: serialize on the per-tile pseudo-link
-            # so delivery order matches send order there too.
+            # so delivery order matches send order there too — the
+            # protocol relies on per-route FIFO ordering (a Data grant
+            # must never be overtaken by a later forward from the same
+            # bank).
             if local_link in busy:
                 depart = busy[local_link]
                 if depart < head:
@@ -182,8 +204,8 @@ class Network:
         c_pkts[0] += 1
         c_flits[0] += flits
         c_fhops[0] += info.flit_hops
-        if self._observed:
-            self._deliver_at(when, packet)
+        if self._observers:
+            self._deliver_at(when, packet, route, flits)
             return info
         now = sim.now
         if when < now:
@@ -224,42 +246,22 @@ class Network:
         self._lanes[key] = lane
         return lane
 
-    def _traverse(
-        self, route: List[Link], inject_time: int, flits: int,
-        local_key: Optional[int] = None,
-    ) -> int:
-        """Walk the head flit down ``route`` with link contention;
-        returns the tail-flit arrival time at the destination.
-
-        Same-tile deliveries serialize on a per-tile pseudo-link so
-        delivery order matches send order there too — the protocol
-        relies on per-route FIFO ordering (a Data grant must never be
-        overtaken by a later forward from the same bank).
-        """
-        head = inject_time
-        busy = self._busy_until
-        hop = self.hop_latency
-        for link in route:
-            depart = busy.get(link, 0)
-            if depart < head:
-                depart = head
-            busy[link] = depart + flits
-            head = depart + hop
-        if not route and local_key is not None:
-            link = (local_key, local_key)
-            depart = busy.get(link, 0)
-            if depart < head:
-                depart = head
-            busy[link] = depart + flits
-            head = depart + self.LOCAL_LATENCY
-        return head + flits - 1
-
-    def _deliver_at(self, when: int, packet: Packet) -> None:
+    def _deliver_at(
+        self, when: int, packet: Packet, links: Iterable[Link], flits: int,
+    ) -> None:
+        """Queue ``packet`` for delivery at cycle ``when``: the path of
+        every multicast leg, and of send() while observed."""
         handler = self._handlers.get((packet.dst, packet.dst_port))
         if handler is None:
             raise KeyError(
                 f"no handler at tile {packet.dst} port {packet.dst_port!r}"
             )
+        observers = self._observers
+        if observers:
+            for inject, _before, _after in observers:
+                if inject is not None:
+                    inject(packet, when, links, flits)
+            handler = self._dispatch_observed
         now = self.sim.now
         if when < now:
             when = now
@@ -269,6 +271,19 @@ class Network:
             self.sim.schedule_at(when, self._drain_cycle, when)
         else:
             batch.append((handler, packet))
+
+    def _dispatch_observed(self, packet: Packet) -> None:
+        """Run ``packet``'s endpoint handler between the delivery
+        observers' ``before`` and ``after`` callbacks."""
+        handler = self._handlers[(packet.dst, packet.dst_port)]
+        observers = self._observers
+        for _inject, before, _after in observers:
+            if before is not None:
+                before(handler, packet)
+        handler(packet)
+        for _inject, _before, after in reversed(observers):
+            if after is not None:
+                after(handler, packet)
 
     def _drain_cycle(self, when: int) -> None:
         """Run every delivery that arrives at cycle ``when``.
@@ -363,6 +378,7 @@ class Network:
                     depart_at[link] = depart
                 head = depart_at[link] + self.hop_latency
         total_hops = 0
+        links = tree_links  # charged once, with the first leg
         for dst in dsts:
             route = routes[dst]
             if route:
@@ -373,7 +389,8 @@ class Network:
                 src=src, dst=dst, kind=kind,
                 payload_bits=payload_bits, dst_port=dst_port, body=body,
             )
-            self._deliver_at(arrival, pkt)
+            self._deliver_at(arrival, pkt, links, flits)
+            links = ()
             total_hops += len(route)
         flit_hops = flits * len(tree_links)
         self._record(kind, flits, len(tree_links))

@@ -4,9 +4,7 @@ The profiler is a kernel step observer: it notes each callback before
 dispatch and times the dispatch with ``perf_counter``; it aggregates
 ``(count, seconds)`` per callback *owner* — the ``__qualname__`` of
 the scheduled function, which for bound methods reads
-``L3Bank._process`` etc. Sanitizer/telemetry wrappers preserve the
-inner ``__qualname__``, so attribution stays on the component even
-when checking or tracing layers wrap the callable.
+``L3Bank._process`` etc.
 
 Wall-clock numbers are host-dependent by nature; they are reported in
 the ``--profile`` artifact but deliberately kept out of Stats and the
@@ -16,8 +14,8 @@ Two sample sources feed the accumulator. The step observer times each
 queue dispatch (:meth:`KernelProfiler.record`). Deliveries the
 network batches inside ``Network._drain_cycle`` — including every
 lane-cached packet — would all land on that one dispatch qualname, so
-the telemetry layer additionally wraps ``Network.register`` with
-per-endpoint timers that credit the *real* handler's ``__qualname__``
+the profiler is also a network delivery observer that times each
+endpoint handler under its own ``__qualname__``
 (:meth:`KernelProfiler.record_inner`). The dispatch sample then
 subtracts the nested handler time it contains, so host seconds are
 counted exactly once.
@@ -40,6 +38,7 @@ class KernelProfiler:
         self._nested_pending = 0.0
         self._stepping: Any = None
         self._t0 = 0.0
+        self._t_handler = 0.0
 
     def before_step(self, when: int, fn: Any) -> None:
         """Step observer: note the callback and start its clock."""
@@ -48,6 +47,16 @@ class KernelProfiler:
 
     def after_step(self) -> None:
         self.record(self._stepping, perf_counter() - self._t0)
+
+    def before_handler(self, handler: Any, packet: Any) -> None:
+        """Delivery observer: start the endpoint handler's clock.
+        Handlers never nest (every delivery is its own queued event),
+        so one clock serves them all."""
+        self._t_handler = perf_counter()
+
+    def after_handler(self, handler: Any, packet: Any) -> None:
+        self.record_inner(getattr(handler, "__qualname__", repr(handler)),
+                          perf_counter() - self._t_handler)
 
     def record(self, fn: Any, seconds: float) -> None:
         nested = self._nested_pending

@@ -18,8 +18,8 @@ traffic per tile; flits per directed mesh link), surfaced through
 ``Telemetry.summary()`` so they ride the ``telemetry.*`` stats into
 every :class:`~repro.harness.runner.RunRecord`.
 
-Zero-cost-when-off contract: nothing here is imported, subscribed or
-wrapped unless the ``provenance`` pillar is enabled.
+Zero-cost-when-off contract: nothing here is imported or subscribed
+unless the ``provenance`` pillar is enabled.
 """
 
 from __future__ import annotations
@@ -86,6 +86,39 @@ class ProvenanceLedger:
             for kind in self.TILE_KINDS:
                 telemetry.subscribe(kind, self._on_tile_activity)
 
+    @staticmethod
+    def policy_snapshot(se, stream) -> Dict[str, Any]:
+        """The float/sink policy's complete input state for one SE_core
+        stream (Table II history + pattern class + bank locality +
+        progress) — what a ``decision`` record stores as its evidence.
+        The SE_core's decision probes call this while the pillar is on."""
+        ent = se.history.entry(stream.sid)
+        pattern = stream.spec.pattern
+        snap: Dict[str, Any] = {
+            "requests": ent.requests, "reuses": ent.reuses,
+            "misses": ent.misses, "aliased": ent.aliased,
+            "miss_ratio": round(ent.miss_ratio, 4),
+            "pattern": type(pattern).__name__,
+            "length": stream.spec.length,
+            "next_issue": stream.next_issue,
+            "consecutive_hits": stream.consecutive_hits,
+            # Windowed shadow counters + revocation state (the smart
+            # policy's extra decision inputs; zero under static).
+            "w_requests": ent.w_requests, "w_reuses": ent.w_reuses,
+            "w_misses": ent.w_misses, "w_stores": ent.w_stores,
+            "cooldown": ent.cooldown, "revokes": ent.revokes,
+            "policy": getattr(se, "float_policy", "static"),
+        }
+        if stream.plan is not None:
+            snap["plan"] = stream.plan.describe()
+        footprint = getattr(pattern, "footprint_bytes", None)
+        if footprint is not None:
+            snap["footprint"] = footprint()
+        if se.se_l2 is not None and stream.spec.length > 0:
+            idx = min(stream.next_issue, stream.spec.length - 1)
+            snap["home_bank"] = se.se_l2.nuca.bank_of(pattern.address(idx))
+        return snap
+
     # ------------------------------------------------------------------
     # bus handlers
     # ------------------------------------------------------------------
@@ -131,7 +164,7 @@ class ProvenanceLedger:
         per_tile[ev.kind] = per_tile.get(ev.kind, 0) + 1
 
     # ------------------------------------------------------------------
-    # link accounting (called from the provenance-gated network wrap)
+    # link accounting (from telemetry's network delivery observer)
     # ------------------------------------------------------------------
     def record_links(self, route: Iterable[Tuple[int, int]],
                      flits: int) -> None:

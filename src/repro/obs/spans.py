@@ -79,13 +79,6 @@ class Span:
             for (a, ac), (b, bc) in zip(pts, pts[1:])
         ]
 
-    def dominant_edge(self) -> Optional[Tuple[str, int]]:
-        """The span's bottleneck: its longest edge (first wins ties)."""
-        edges = self.edges()
-        if not edges:
-            return None
-        return max(edges, key=lambda e: e[1])
-
 
 class SpanCollector:
     """Subscribes to the bus and assembles spans; exporter input."""

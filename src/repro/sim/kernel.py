@@ -109,10 +109,10 @@ class Simulator:
         # uncontended event chains into synchronous calls that credit
         # count_inlined_events(). Fusion changes the *event stream*
         # (hence the S5 trace hash) but never cycles or architectural
-        # stats (DESIGN.md §12). Telemetry vetoes fusion: its wrappers
-        # publish after their inner handler returns, so a fused callback
-        # chain would invert observer ordering (e.g. a span closing
-        # before the hop that produced it). The sanitizer does not —
+        # stats (DESIGN.md §12). Telemetry vetoes fusion: its probes
+        # publish at the end of the handlers they sit in, so a fused
+        # callback chain would invert observer ordering (e.g. a span
+        # closing before the hop that produced it). The sanitizer does not —
         # tier-1 runs exercise the fused paths, and the S5 hash change
         # is regenerated deliberately. Message pooling additionally
         # requires no sanitizer, since observers may retain references

@@ -132,7 +132,6 @@ class Sanitizer:
         self._crc = 0
         self._hashed = 0
         # Component registries.
-        self._net = None
         self._l1s: Dict[int, Any] = {}
         self._l2s: Dict[int, Any] = {}
         self._banks: Dict[int, Any] = {}
@@ -204,50 +203,31 @@ class Sanitizer:
     # S3: NoC conservation (+ the S1 Inv excuse bookkeeping)
     # ------------------------------------------------------------------
     def watch_network(self, net) -> None:
-        """Wrap packet injection and handler registration.
+        """Join the network's delivery-observer list: S3 tracks every
+        injected packet until its handler runs, S1 counts in-flight
+        invalidations as excuses and re-checks each line an ``l2``
+        delivery touched."""
+        net.add_delivery_observer(
+            self._note_injection, self._note_delivery, self._after_delivery,
+        )
 
-        Must run before any component registers a handler — the
-        Network registers the sanitizer in its own constructor, and
-        every other component is built after the network.
-        """
-        self._net = net
-        san = self
-        inner_deliver = net._deliver_at
+    def _note_injection(self, packet, when: int, links, flits: int) -> None:
+        self._in_flight[packet.pid] = (packet, self.sim.now)
+        self._injected += 1
+        body = packet.body
+        if getattr(body, "op", None) == "Inv":
+            key = (self._line(body.addr), packet.dst)
+            self._invs[key] = self._invs.get(key, 0) + 1
 
-        def deliver_at(when: int, packet) -> None:
-            san._in_flight[packet.pid] = (packet, san.sim.now)
-            san._injected += 1
-            body = packet.body
-            if getattr(body, "op", None) == "Inv":
-                key = (san._line(body.addr), packet.dst)
-                san._invs[key] = san._invs.get(key, 0) + 1
-            inner_deliver(when, packet)
-
-        net._deliver_at = deliver_at
-        inner_register = net.register
-
-        def register(tile: int, port: str, handler) -> None:
-            def checked(pkt) -> None:
-                san._note_delivery(pkt, tile, port)
-                handler(pkt)
-                san._after_delivery(pkt, port)
-
-            checked.__qualname__ = getattr(
-                handler, "__qualname__", f"handler[{tile},{port}]"
-            )
-            inner_register(tile, port, checked)
-
-        net.register = register
-
-    def _note_delivery(self, pkt, tile: int, port: str) -> None:
+    def _note_delivery(self, handler, pkt) -> None:
         if self._in_flight.pop(pkt.pid, None) is None:
             self._fail(
                 "S3", "packet delivered but never tracked as injected",
-                tile=tile, obj=pkt,
+                tile=pkt.dst, obj=pkt,
             )
         self._delivered += 1
 
-    def _after_delivery(self, pkt, port: str) -> None:
+    def _after_delivery(self, handler, pkt) -> None:
         body = pkt.body
         addr = getattr(body, "addr", None)
         if getattr(body, "op", None) == "Inv":
@@ -257,7 +237,7 @@ class Sanitizer:
                 self._invs.pop(key, None)
             else:
                 self._invs[key] = n - 1
-        if port == "l2" and addr is not None:
+        if pkt.dst_port == "l2" and addr is not None:
             self._check_line(self._line(addr))
 
     # ------------------------------------------------------------------
@@ -446,8 +426,8 @@ class Sanitizer:
                       epoch=0, migrated=False, plan=None):
             key = (requester, spec.sid)
             prev = se.streams.get(key)
-            out = inner_configure(spec, children, requester, start_idx,
-                                  credits, epoch, migrated, plan)
+            inner_configure(spec, children, requester, start_idx,
+                            credits, epoch, migrated, plan)
             cur = se.streams.get(key)
             if cur is prev:
                 # The incoming incarnation was not installed (admission
@@ -458,9 +438,6 @@ class Sanitizer:
                 san._terminate(
                     (requester, spec.sid, prev.epoch), se.tile,
                 )
-            # Forward the verdict so observability wrappers stacked
-            # outside this one still see it.
-            return out
 
         se._configure = configure
         inner_ready = se._data_ready

@@ -125,9 +125,7 @@ class SECore:
         self._c_requests = stats.counter("se_core.requests")
         if se_l2 is not None:
             se_l2.se_core = self
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_core(self)
+        self._tel = getattr(sim, "telemetry", None)
 
     # ------------------------------------------------------------------
     # configuration (stream_cfg / stream_end)
@@ -210,6 +208,22 @@ class SECore:
         return self._config_footprint(stream) > self.l2_capacity
 
     def end(self, sids: List[int]) -> None:
+        tel = self._tel
+        if tel is not None and tel.provenance is not None:
+            # Terminal no-float verdicts: a load stream that retires
+            # without ever floating records why the policy never fired.
+            for sid in sids:
+                stream = self.streams.get(sid)
+                if (
+                    stream is not None and not stream.floating
+                    and stream.spec.kind == "load" and stream.parent is None
+                ):
+                    tel.publish(
+                        "decision", tile=self.tile,
+                        detail=f"no_float sid {sid} (end)",
+                        verdict="no_float", sid=sid, reason="never_qualified",
+                        inputs=tel.provenance.policy_snapshot(self, stream),
+                    )
         for sid in sids:
             stream = self.streams.pop(sid, None)
             if stream is None:
@@ -236,6 +250,16 @@ class SECore:
         it with the decision's input snapshot. ``plan`` (smart+plan
         policy) carries per-range levels; None is the classic float
         from the current element."""
+        tel = self._tel
+        if tel is not None and tel.provenance is not None and not stream.floating:
+            inputs = tel.provenance.policy_snapshot(self, stream)
+            if plan is not None:
+                inputs["plan"] = plan.describe()
+            tel.publish(
+                "decision", tile=self.tile,
+                detail=f"float sid {stream.sid} ({reason})",
+                verdict="float", sid=stream.sid, reason=reason, inputs=inputs,
+            )
         if stream.floating or self.se_l2 is None:
             return
         if plan is not None and stream.children:
@@ -268,18 +292,40 @@ class SECore:
             children=[c.spec for c in float_children],
             plan=plan,
         )
+        if tel is not None:
+            tel.publish(
+                "float", tile=self.tile,
+                detail=f"sid {stream.sid} @elem {stream.float_start}",
+                sid=stream.sid, elem=stream.float_start,
+            )
 
     def _sink(self, stream: CoreStream, reason: str = "policy") -> None:
         """Sink ``stream`` (undo its float). ``reason`` labels the
         trigger site ("cache_hits", "alias_store", "context_flush",
         "stream_inv", "alias_evict") for the provenance ledger; it has
         no behavioral effect."""
+        tel = self._tel
         if stream.parent is not None:
             # Indirect streams float and sink with their parent.
+            was = stream.floating
             self._sink(stream.parent, reason)
+            if tel is not None and was and not stream.floating:
+                tel.publish("sink", tile=self.tile,
+                            detail=f"sid {stream.sid}", sid=stream.sid)
             return
         if not stream.floating:
             return
+        if tel is not None and tel.provenance is not None:
+            # A smart-policy revocation is its own verdict: the policy
+            # actively undid a float it now judges bad (the reason
+            # names the trigger).
+            verdict = "revoke" if reason.startswith("revoke") else "sink"
+            tel.publish(
+                "decision", tile=self.tile,
+                detail=f"{verdict} sid {stream.sid} ({reason})",
+                verdict=verdict, sid=stream.sid, reason=reason,
+                inputs=tel.provenance.policy_snapshot(self, stream),
+            )
         stream.floating = False
         stream.plan = None
         for child in stream.children:
@@ -296,6 +342,9 @@ class SECore:
             self.history.carryover_reset(s.sid)
         if self.se_l2 is not None:
             self.se_l2.end_stream(stream.sid)
+        if tel is not None:
+            tel.publish("sink", tile=self.tile, detail=f"sid {stream.sid}",
+                        sid=stream.sid)
 
     def _revoke(self, stream: CoreStream, reason: str) -> None:
         """Smart policy: undo a demonstrably bad float mid-run and

@@ -143,14 +143,12 @@ class SEL2:
         self._c_intercepts = stats.counter("se_l2.intercepts")
         self._c_data_arrivals = stats.counter("se_l2.data_arrivals")
         self.se_core = None  # wired by SECore.__init__
+        self._tel = getattr(sim, "telemetry", None)
         l2.se_l2 = self
         net.register(tile, "se_l2", self.handle)
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_se_l2(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_l2(self)
 
     # ------------------------------------------------------------------
     # floating / termination (SE_core-facing)
@@ -326,6 +324,18 @@ class SEL2:
             leader.followers[spec.sid] = Follower(spec=spec, delta=delta)
             self._sid_index[spec.sid] = (leader, "follower")
             self.stats.add("se_l2.followers")
+            tel = self._tel
+            if tel is not None and tel.provenance is not None:
+                tel.publish(
+                    "decision", tile=self.tile,
+                    detail=f"follow sid {spec.sid} -> leader {leader.sid}",
+                    verdict="follow", sid=spec.sid, reason="constant_offset",
+                    inputs={
+                        "leader_sid": leader.sid, "delta": delta,
+                        "pattern": type(pat).__name__,
+                        "length": spec.length, "epoch": leader.epoch,
+                    },
+                )
             return True
         return False
 
@@ -496,6 +506,8 @@ class SEL2:
         stream = self._find(sid)
         if stream is None:
             self.stats.add("se_l2.orphan_data")
+            if self._tel is not None:
+                self._publish_datau(pkt, sid)
             return
         self._c_data_arrivals[0] += 1
         idx = body.element
@@ -519,6 +531,17 @@ class SEL2:
                 self._parent_data(stream, idx)
         else:
             self._child_data(stream, sid, idx)
+        if self._tel is not None:
+            self._publish_datau(pkt, sid)
+
+    def _publish_datau(self, pkt: Packet, sid: int) -> None:
+        """The ``datau`` probe, run once a DataU arrival is handled."""
+        element = pkt.body.element
+        if element is not None:
+            self._tel.publish(
+                "datau", tile=self.tile, detail=f"sid {sid} elem {element}",
+                sid=sid, element=element, src=pkt.src,
+            )
 
     def _parent_data(self, stream: BufferedStream, idx: int) -> None:
         stream.ready.add(idx)

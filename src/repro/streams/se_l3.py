@@ -168,14 +168,12 @@ class SEL3:
         # Interned counter cells for the per-element hot path.
         self._c_tlb = stats.counter("se_l3.tlb_lookups")
         self._c_elements = stats.counter("se_l3.elements_issued")
+        self._tel = getattr(sim, "telemetry", None)
         bank.se_l3 = self
         net.register(tile, "se_l3", self.handle)
         san = getattr(sim, "sanitizer", None)
         if san is not None:
             san.watch_se_l3(self)
-        tel = getattr(sim, "telemetry", None)
-        if tel is not None:
-            tel.watch_se_l3(self)
 
     # ------------------------------------------------------------------
     # network ingress
@@ -213,33 +211,40 @@ class SEL3:
         epoch: int = 0,
         migrated: bool = False,
         plan: Optional[FloatPlan] = None,
-    ) -> str:
-        """Install (or reject) an incoming stream configuration.
-
-        Returns the verdict — ``"installed"``, ``"replaced"`` (an
-        older resident incarnation was evicted), ``"stale"`` (the
-        arrival lost to a newer incarnation) or ``"rejected"``
-        (admission control) — consumed only by observability wrappers.
-        """
+    ) -> None:
+        """Install (or reject) an incoming stream configuration. Each
+        exit hands its verdict to the provenance probe: ``"installed"``,
+        ``"replaced"`` (an older resident incarnation was evicted),
+        ``"stale"`` (the arrival lost to a newer incarnation) or
+        ``"rejected"`` (admission control)."""
         key = (requester, spec.sid)
         existing = self.streams.get(key)
         if existing is not None and existing.epoch >= epoch:
             # A Migrate from a superseded incarnation arrived after the
             # sid was re-floated here: the old incarnation dies here.
             self.stats.add("se_l3.stale_migrates")
-            return "stale"
+            if self._tel is not None:
+                self._publish_config("stale", spec, requester, start_idx,
+                                     credits, epoch, migrated, plan)
+            return
         fwd = self.forwarding.get(key)
         if fwd is not None and fwd[1] > epoch:
             # Likewise stale relative to a newer incarnation that
             # already migrated through this bank.
             self.stats.add("se_l3.stale_migrates")
-            return "stale"
+            if self._tel is not None:
+                self._publish_config("stale", spec, requester, start_idx,
+                                     credits, epoch, migrated, plan)
+            return
         if not migrated and len(self.streams) >= self.max_streams:
             # Reject only fresh floats. A migrating stream already owns
             # buffer and credit state at its requester; bouncing it
             # would strand that state and deadlock the core.
             self.stats.add("se_l3.config_rejected")
-            return "rejected"
+            if self._tel is not None:
+                self._publish_config("rejected", spec, requester, start_idx,
+                                     credits, epoch, migrated, plan)
+            return
         if existing is not None:
             # Older incarnation still resident (its EndStream is still
             # chasing it): replace it, keeping group/rotation clean.
@@ -268,7 +273,35 @@ class SEL3:
         if self.confluence_enabled and not spec.is_indirect:
             self._try_merge(stream)
         self._arm_pump()
-        return "replaced" if existing is not None else "installed"
+        if self._tel is not None:
+            self._publish_config(
+                "replaced" if existing is not None else "installed",
+                spec, requester, start_idx, credits, epoch, migrated, plan)
+
+    def _publish_config(
+        self, verdict: str, spec: StreamSpec, requester: int,
+        start_idx: int, credits: int, epoch: int, migrated: bool,
+        plan: Optional[FloatPlan],
+    ) -> None:
+        """The configure ``decision`` probe (provenance pillar only)."""
+        tel = self._tel
+        if tel.provenance is None:
+            return
+        inputs = {
+            "start_idx": start_idx, "credits": credits,
+            "epoch": epoch, "migrated": migrated,
+            "pattern": type(spec.pattern).__name__,
+            "length": spec.length,
+            "resident_streams": len(self.streams),
+        }
+        if plan is not None:
+            inputs["plan"] = plan.describe()
+        tel.publish(
+            "decision", tile=self.tile,
+            detail=f"config_{verdict} ({requester},{spec.sid})",
+            verdict=f"config_{verdict}", sid=spec.sid, requester=requester,
+            reason="migrate" if migrated else "float_config", inputs=inputs,
+        )
 
     def _try_merge(self, stream: L3Stream) -> None:
         """Merge unit: one parameter comparison per existing stream
@@ -300,6 +333,14 @@ class SEL3:
             group.members.append(stream)
             stream.group = group
             self.stats.add("se_l3.confluences")
+            if self._tel is not None:
+                self._tel.publish(
+                    "confluence", tile=self.tile,
+                    detail=f"{stream.key} joined group of "
+                           f"{len(group.members)}",
+                    requester=stream.requester, sid=stream.spec.sid,
+                    size=len(group.members),
+                )
             return
 
     # ------------------------------------------------------------------
@@ -543,6 +584,14 @@ class SEL3:
     # ------------------------------------------------------------------
     def _migrate(self, stream: L3Stream, next_addr: int) -> None:
         target = self.nuca.bank_of(next_addr)
+        if self._tel is not None:
+            self._tel.publish(
+                "migrate", tile=self.tile,
+                detail=f"{stream.key} elem {stream.next_idx} -> bank {target}",
+                requester=stream.requester, sid=stream.spec.sid,
+                elem=stream.next_idx, to_bank=target, epoch=stream.epoch,
+                credits=stream.credits,
+            )
         self._drop(stream)
         self.forwarding[stream.key] = (target, stream.epoch)
         body = Migrate(
@@ -571,6 +620,12 @@ class SEL3:
     # flow unit / termination
     # ------------------------------------------------------------------
     def _credit(self, body: Credit) -> None:
+        if self._tel is not None:
+            self._tel.publish(
+                "credit", tile=self.tile,
+                detail=f"({body.requester},{body.sid}) +{body.count}",
+                requester=body.requester, sid=body.sid, count=body.count,
+            )
         key = (body.requester, body.sid)
         stream = self.streams.get(key)
         if stream is not None and stream.epoch == body.epoch:
@@ -605,6 +660,11 @@ class SEL3:
             self.stats.add("se_l3.credits_held")
 
     def _end(self, body: EndStream) -> None:
+        if self._tel is not None:
+            self._tel.publish(
+                "end", tile=self.tile, detail=f"({body.requester},{body.sid})",
+                requester=body.requester, sid=body.sid,
+            )
         key = (body.requester, body.sid)
         pending = self.pending_credits.get(key)
         if pending is not None and pending[0] <= body.epoch:
@@ -696,10 +756,6 @@ class SEL3:
                 src=self.tile, dst=requester, kind=CTRL,
                 payload_bits=body.bits(), dst_port="se_l2", body=body,
             ))
-
-    def dealloc_range(self, key: StreamKey) -> None:
-        """Stream committed its stream_end: forget its range data."""
-        self.ranges.pop(key, None)
 
     def flush_floating(self) -> None:
         """Context switch (SS IV-E): discard all floating streams."""

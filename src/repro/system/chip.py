@@ -44,12 +44,6 @@ class RunResult:
             self.stats.get(f"noc.flit_hops.{k}") for k in TRAFFIC_CLASSES
         )
 
-    @property
-    def noc_flits(self) -> float:
-        return sum(
-            self.stats.get(f"noc.flits.{k}") for k in TRAFFIC_CLASSES
-        )
-
     def traffic_breakdown(self) -> Dict[str, float]:
         """Flit-hops by traffic class (Figure 15's bands)."""
         return {

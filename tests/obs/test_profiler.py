@@ -117,11 +117,7 @@ def test_lane_cached_deliveries_credit_real_handlers(monkeypatch):
     names = set(profiler._acc)
     handlers = {n for n in names if n.endswith(".handle")}
     assert handlers, f"no endpoint handlers profiled, saw {sorted(names)}"
-    # The per-endpoint timers preserved the component qualnames (no
-    # `timed` wrapper names leaked into the profile)...
-    assert not any("watch_network" in n or n.endswith(".timed")
-                   for n in names)
-    # ...and the subtraction never drove a dispatch sample negative.
+    # The subtraction never drove a dispatch sample negative.
     assert all(slot[1] >= 0 for slot in profiler._acc.values())
 
 

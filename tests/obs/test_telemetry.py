@@ -31,12 +31,10 @@ def test_disabled_without_env():
     assert sim.telemetry is None
     # Zero-cost off: no step observer (the sanitizer is also off)...
     assert not sim._step_observers
-    # ...and no component wraps its entry points.
+    # ...no delivery observer, and no component wraps its entry points.
     hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
-    assert hier.l1s[0]._miss.__qualname__.startswith("L1Cache.")
-    assert hier.l2s[0]._data.__qualname__.startswith("L2Cache.")
-    assert hier.banks[0].stream_read.__qualname__.startswith("L3Bank.")
+    assert not hier.net._observers
+    assert hier.l1s[0]._tel is None
     assert "_miss" not in hier.l1s[0].__dict__
 
 
@@ -143,31 +141,74 @@ def test_streams_alive_gauge_tracks_float_sink_end():
     assert tel.streams_alive == 0
 
 
-@pytest.mark.no_sanitize
-def test_watch_is_idempotent():
-    hier = MiniHierarchy()
-    tel = Telemetry(hier.sim, TelemetryConfig())
-    tel.watch_l1(hier.l1s[0])
-    wrapped = hier.l1s[0]._miss
-    tel.watch_l1(hier.l1s[0])  # second watch must not double-wrap
-    assert hier.l1s[0]._miss is wrapped
+# ----------------------------------------------------------------------
+# components publish their own probes: nothing else is patched in
+# ----------------------------------------------------------------------
+# Instance attributes that still shadow a class method once the
+# sanitizer and every pillar are attached: the sanitizer's S1/S4
+# before/after snapshots and the cycle accountant's commit-front hooks.
+# Shrink this list as those move to probes; never grow it.
+WRAPPED_ALLOWLIST = {
+    "L1Cache._writeback_to_l2",
+    "L3Bank._process",
+    "SEL2._send_config", "SEL2._free",
+    "SEL3._issue_one", "SEL3._end", "SEL3.check_write",
+    "SEL3.flush_floating", "SEL3._configure", "SEL3._data_ready",
+    "Core.run_phase", "Core._load_done", "Core._check_done",
+}
 
 
-# ----------------------------------------------------------------------
-# wrappers preserve determinism-critical metadata
-# ----------------------------------------------------------------------
-@pytest.mark.no_sanitize
-def test_wrappers_preserve_qualnames(monkeypatch):
-    # The sanitizer's S5 determinism trace hashes queue-head
-    # __qualname__s; telemetry wrapping must not change them.
-    # (no_sanitize: with the sanitizer on, *its* wrappers own some of
-    # these names — here we pin telemetry's own behavior.)
-    monkeypatch.setenv(ENV_TELEMETRY, "spans")
+def _components(root, depth=3):
+    """Every ``repro`` object reachable from ``root``'s instance
+    attributes (and lists of them), ``depth`` levels deep."""
+    seen, found = set(), []
+
+    def visit(obj, level):
+        if id(obj) in seen or level > depth:
+            return
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item, level)
+            return
+        if not type(obj).__module__.startswith("repro.") \
+                or not hasattr(obj, "__dict__"):
+            return
+        seen.add(id(obj))
+        found.append(obj)
+        for value in vars(obj).values():
+            visit(value, level + 1)
+
+    for value in vars(root).values():
+        visit(value, 1)
+    return found
+
+
+def _shadowed_methods(root):
+    import inspect
+
+    shadowed = set()
+    for obj in _components(root):
+        cls = type(obj)
+        for name, value in vars(obj).items():
+            if callable(value) and inspect.isfunction(
+                inspect.getattr_static(cls, name, None)
+            ):
+                shadowed.add(f"{cls.__name__}.{name}")
+    return shadowed
+
+
+def test_only_allowlisted_methods_are_wrapped(monkeypatch):
+    from repro.system import Chip, make_config
+
+    monkeypatch.setenv(ENV_TELEMETRY, "all")
     hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
-    assert hier.l1s[0]._miss.__qualname__.startswith("L1Cache.")
-    assert hier.l2s[0]._miss.__qualname__.startswith("L2Cache.")
-    assert hier.banks[0]._demand.__qualname__.startswith("L3Bank.")
+    assert hier.sim.sanitizer is not None
+    shadowed = _shadowed_methods(hier)
+    assert "L1Cache._writeback_to_l2" in shadowed  # the walk sees the L1s
+    assert shadowed <= WRAPPED_ALLOWLIST
+    chip = Chip(make_config("sf", core="ooo4", cols=2, rows=2, scale=64))
+    assert chip.sim.telemetry.attribution is not None
+    assert _shadowed_methods(chip) == WRAPPED_ALLOWLIST
 
 
 def test_telemetry_does_not_change_simulation(monkeypatch):

@@ -42,9 +42,9 @@ def test_disabled_without_env():
     assert sim.sanitizer is None
     # Zero-cost off: no step observer is ever registered...
     assert not sim._step_observers
-    # ...and no component wraps its entry points.
+    # ...and nothing joins the network's delivery-observer list.
     hier = MiniHierarchy()
-    assert hier.net._deliver_at.__qualname__.startswith("Network.")
+    assert not hier.net._observers
 
 
 @pytest.mark.no_sanitize
