@@ -15,10 +15,15 @@ Beyond the usual state, each line tracks:
 - ``fill_flits``: NoC flits spent bringing the line in, so eviction-
   without-reuse traffic (Figure 2b) can be attributed per line.
 
-The array preallocates ``sets x ways`` :class:`CacheLine` slots in one
-flat list (slot = ``set * ways + way``) and keeps a line-base -> slot
-map, so lookups are one dict probe + one list index with no nested
-containers on the hot path.
+The array keeps one flat slot list (slot = ``set * ways + way``) and a
+line-base -> slot map, so lookups are one dict probe + one list index
+with no nested containers on the hot path. State is materialized on
+first fill: a slot holds the shared placeholder ``_UNFILLED`` until a
+line is first filled into it, and a set gets its replacement policy
+when its way 0 is first filled. Ways fill lowest-first, so the
+materialized ways of a set are always a prefix of it, and a run pays
+only for the sets it touches (a paper-geometry chip fills about a
+quarter of its slots).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.addr import LINE_SIZE, line_addr
-from repro.mem.replacement import ReplacementPolicy, make_policy
+from repro.mem.replacement import POLICY_NAMES, ReplacementPolicy, make_policy
 
 # Coherence states (MESI). The same enum serves private caches and the
 # LLC/directory; not every state is meaningful at every level.
@@ -111,6 +116,14 @@ class CacheLine:
         )
 
 
+# Every never-filled slot of every array holds this one line. It is
+# INVALID, so the free-way scan takes it like any empty way, and it is
+# never written: fill() puts a new line in its place. (A None
+# placeholder would cost a test per way, or make the scan's
+# ``line.state`` load see two types, which measured 3% slower runs.)
+_UNFILLED = CacheLine()
+
+
 class CacheArray:
     """A set-associative array of :class:`CacheLine`.
 
@@ -140,14 +153,14 @@ class CacheArray:
         self.num_sets = size_bytes // (ways * LINE_SIZE)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError(f"number of sets ({self.num_sets}) must be a power of two")
-        # Flat slot array: slot = set_idx * ways + way.
-        self._slots: List[CacheLine] = [
-            CacheLine() for _ in range(self.num_sets * ways)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(replacement, ways, seed=seed + set_idx)
-            for set_idx in range(self.num_sets)
-        ]
+        if replacement not in POLICY_NAMES:
+            raise ValueError(f"unknown replacement policy {replacement!r}")
+        # Flat slot array: slot = set_idx * ways + way. Slots hold
+        # _UNFILLED and policies None until first filled.
+        self._slots: List[CacheLine] = [_UNFILLED] * (self.num_sets * ways)
+        self._policies: List[Optional[ReplacementPolicy]] = [None] * self.num_sets
+        self._replacement = replacement
+        self._seed = seed
         self._set_index_fn = set_index_fn
         self._set_mask = self.num_sets - 1
         # Map line base address -> flat slot for O(1) lookups.
@@ -181,7 +194,9 @@ class CacheArray:
         """Choose (way, line) to evict so ``addr`` can be filled.
 
         Does not modify state; the caller should handle writeback of a
-        valid victim, then call :meth:`fill`. ``avoid`` is an optional
+        valid victim, then call :meth:`fill`. ``line`` is the shared
+        ``_UNFILLED`` placeholder when the way has never been filled;
+        :meth:`fill` replaces it with a new line. ``avoid`` is an optional
         predicate over line addresses; lines it matches (e.g. lines
         with in-flight transactions) are skipped unless every way
         matches, in which case a RuntimeError is raised.
@@ -192,7 +207,8 @@ class CacheArray:
         nways = self.ways
         # Free-way fast scan: both policies prefer the lowest-index
         # invalid way, so finding one here short-circuits the policy
-        # (and the per-fill validity vector) entirely.
+        # (and the per-fill validity vector) entirely. A never-filled
+        # way holds _UNFILLED, which is INVALID too.
         for way in range(nways):
             line = slots[base_slot + way]
             if line.state == INVALID:
@@ -231,7 +247,14 @@ class CacheArray:
         set_idx = self.set_of(addr)
         way, victim = self.pick_victim(addr, avoid=avoid)
         evicted: Optional[CacheLine] = None
-        if victim.state != INVALID:
+        if victim is _UNFILLED:
+            # First fill of this way: every field is written below.
+            victim = CacheLine.__new__(CacheLine)
+            self._slots[set_idx * self.ways + way] = victim
+            if way == 0:
+                self._policies[set_idx] = make_policy(
+                    self._replacement, self.ways, seed=self._seed + set_idx)
+        elif victim.state != INVALID:
             evicted = victim.copy()
             del self._where[victim.addr]
         victim.addr = base

@@ -54,10 +54,8 @@ class DramController:
             done = self._service()
             # Build the response eagerly and schedule the bound send
             # directly — no closure allocation per read.
-            self.sim.schedule_at(done, self.net.send, Packet(
-                src=self.tile, dst=pkt.src, kind=DATA,
-                payload_bits=data_payload_bits(64),
-                dst_port="l3",
+            self.sim.schedule_at(done, self.net.send, self.net.packet(
+                self.tile, pkt.src, DATA, data_payload_bits(64), "l3",
                 body=CohMsg(
                     op="MemData", addr=msg.addr, requester=msg.requester,
                     se_info=msg.se_info,

@@ -12,7 +12,8 @@ free slot and re-initialises it in place, :meth:`release` detaches the
 entry (the caller owns it — fill paths consume waiters/meta after
 release, and may allocate the same slot count again immediately) and
 :meth:`recycle` returns a detached entry's slot to the pool once the
-caller is done with it.
+caller is done with it, dropping its waiters and meta so an idle slot
+keeps no request or callback alive.
 """
 
 from __future__ import annotations
@@ -123,7 +124,13 @@ class MshrFile:
     def recycle(self, entry: MshrEntry) -> None:
         """Return a detached entry's storage to the pool, repaying the
         loan :meth:`release` recorded (keeps the pool at ``capacity``
-        while reusing the hot object)."""
+        while reusing the hot object).
+
+        The entry's ``waiters`` and ``meta`` are dropped (set to
+        ``None``; :meth:`allocate` builds fresh ones), so the caller
+        must have read everything it needs from them first."""
+        entry.waiters = None
+        entry.meta = None
         if self._lent:
             self._lent -= 1
             self._free.append(entry)

@@ -13,11 +13,17 @@ A policy manages one set of ``ways`` lines. The cache array calls
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+import weakref
+from typing import List
+
+# Names make_policy accepts.
+POLICY_NAMES = ("lru", "brrip")
 
 
 class ReplacementPolicy:
     """Per-set replacement state. One instance per cache set."""
+
+    __slots__ = ("ways",)
 
     def __init__(self, ways: int) -> None:
         self.ways = ways
@@ -36,6 +42,8 @@ class ReplacementPolicy:
 
 class LruPolicy(ReplacementPolicy):
     """Classic least-recently-used, tracked with a recency timestamp."""
+
+    __slots__ = ("_stamp", "_last_use")
 
     def __init__(self, ways: int) -> None:
         super().__init__(ways)
@@ -59,6 +67,37 @@ class LruPolicy(ReplacementPolicy):
         return min(range(self.ways), key=lambda w: self._last_use[w])
 
 
+class DrawTape:
+    """The draws ``random.Random(seed)`` has made so far, extended on
+    demand. :meth:`of` hands out one tape per live seed; a tape dies
+    with the last policy that reads it. A tape's contents depend on
+    its seed alone, so sharing it between arrays and chips in one
+    process changes no draw any set sees."""
+
+    __slots__ = ("draws", "_rng", "__weakref__")
+
+    _live: "weakref.WeakValueDictionary[int, DrawTape]" = (
+        weakref.WeakValueDictionary()
+    )
+
+    def __init__(self, seed: int) -> None:
+        self.draws: List[float] = []
+        self._rng = random.Random(seed)
+
+    @classmethod
+    def of(cls, seed: int) -> "DrawTape":
+        tape = cls._live.get(seed)
+        if tape is None:
+            tape = cls._live[seed] = cls(seed)
+        return tape
+
+    def draw(self) -> float:
+        """Make the next draw and append it to the tape."""
+        value = self._rng.random()
+        self.draws.append(value)
+        return value
+
+
 class BrripPolicy(ReplacementPolicy):
     """Bimodal RRIP with 2-bit re-reference prediction values (RRPV).
 
@@ -68,20 +107,32 @@ class BrripPolicy(ReplacementPolicy):
     - Victim selection finds an RRPV-3 line, aging all lines until one
       exists.
 
-    The random choice uses a private deterministic PRNG seeded per set
-    so simulations are reproducible.
+    The random choice is deterministic per seed: the set sees exactly
+    the draws of a private ``random.Random(seed)``. They are read from a
+    :class:`DrawTape` that every set with the same seed shares, each
+    through its own cursor, so a chip's thousands of sets hold a few
+    hundred generators instead of one each.
     """
 
     MAX_RRPV = 3
+
+    __slots__ = ("p", "_rrpv", "_tape", "_cursor")
 
     def __init__(self, ways: int, p: float = 0.03, seed: int = 0) -> None:
         super().__init__(ways)
         self.p = p
         self._rrpv = [self.MAX_RRPV] * ways
-        self._rng = random.Random(seed)
+        self._tape = DrawTape.of(seed)
+        self._cursor = 0
 
     def on_fill(self, way: int) -> None:
-        if self._rng.random() < self.p:
+        i = self._cursor
+        self._cursor = i + 1
+        try:
+            draw = self._tape.draws[i]
+        except IndexError:  # this set is the first to reach draw i
+            draw = self._tape.draw()
+        if draw < self.p:
             self._rrpv[way] = self.MAX_RRPV - 1
         else:
             self._rrpv[way] = self.MAX_RRPV

@@ -83,7 +83,7 @@ class Network:
         # Packet free-list (DESIGN.md §12): with pooling enabled the
         # network reclaims every delivered packet shell (no handler
         # retains the Packet object — bodies have their own lifetime)
-        # and send_new() reuses them. Pooling is vetoed by observers
+        # and packet() reuses them. Pooling is vetoed by observers
         # (sim.pooling), which may retain packet references.
         self._pooling = getattr(sim, "pooling", False)
         self._pkt_free: List[Packet] = []
@@ -131,6 +131,33 @@ class Network:
     # ------------------------------------------------------------------
     # unicast
     # ------------------------------------------------------------------
+    def packet(
+        self,
+        src: int,
+        dst: int,
+        kind: str,
+        payload_bits: int,
+        dst_port: str,
+        body=None,
+    ) -> Packet:
+        """Build a packet, reusing a delivered shell from the free-list
+        when pooling is on. Every sender in the simulator builds its
+        packets here, so the free-list never holds more shells than
+        were once in flight together."""
+        free = self._pkt_free
+        if not free or kind not in TRAFFIC_CLASSES or payload_bits < 0:
+            # A fresh Packet validates kind and payload_bits.
+            return Packet(src, dst, kind, payload_bits, dst_port, body)
+        packet = free.pop()
+        packet.src = src
+        packet.dst = dst
+        packet.kind = kind
+        packet.payload_bits = payload_bits
+        packet.dst_port = dst_port
+        packet.body = body
+        packet.pid = next(_packet_ids)
+        return packet
+
     def send_new(
         self,
         src: int,
@@ -141,22 +168,11 @@ class Network:
         body=None,
         extra_delay: int = 0,
     ) -> DeliveryInfo:
-        """Allocate a packet (from the free-list when pooling is on)
-        and send it. Hot senders use this instead of ``send(Packet(...))``
-        so delivered shells cycle back instead of being garbage."""
-        free = self._pkt_free
-        if free:
-            packet = free.pop()
-            packet.src = src
-            packet.dst = dst
-            packet.kind = kind
-            packet.payload_bits = payload_bits
-            packet.dst_port = dst_port
-            packet.body = body
-            packet.pid = next(_packet_ids)
-        else:
-            packet = Packet(src, dst, kind, payload_bits, dst_port, body)
-        return self.send(packet, extra_delay)
+        """Build a packet with :meth:`packet` and send it."""
+        return self.send(
+            self.packet(src, dst, kind, payload_bits, dst_port, body),
+            extra_delay,
+        )
 
     def send(self, packet: Packet, extra_delay: int = 0) -> DeliveryInfo:
         """Inject ``packet`` now (+``extra_delay``); returns accounting
@@ -345,13 +361,13 @@ class Network:
         dsts = list(dict.fromkeys(dsts))
         if not dsts:
             raise ValueError("multicast needs at least one destination")
-        template = Packet(
-            src=src, dst=dsts[0], kind=kind,
-            payload_bits=payload_bits, dst_port=dst_port, body=body,
-        )
+        # One packet per leg, built before any link is reserved (so a
+        # bad kind or payload fails first).
+        legs = [self.packet(src, dst, kind, payload_bits, dst_port, body)
+                for dst in dsts]
         flits = self._flits_cache.get(payload_bits)
         if flits is None:
-            flits = self._flits_cache[payload_bits] = template.flits(self.link_bits)
+            flits = self._flits_cache[payload_bits] = legs[0].flits(self.link_bits)
         # X-Y trees are static per (src, destination set): confluence
         # groups multicast the same set for every element, so cache the
         # routes and the deduplicated tree links alongside the unicast
@@ -379,16 +395,12 @@ class Network:
                 head = depart_at[link] + self.hop_latency
         total_hops = 0
         links = tree_links  # charged once, with the first leg
-        for dst in dsts:
+        for dst, pkt in zip(dsts, legs):
             route = routes[dst]
             if route:
                 arrival = depart_at[route[-1]] + self.hop_latency + flits - 1
             else:
                 arrival = self.sim.now + self.LOCAL_LATENCY + flits - 1
-            pkt = Packet(
-                src=src, dst=dst, kind=kind,
-                payload_bits=payload_bits, dst_port=dst_port, body=body,
-            )
             self._deliver_at(arrival, pkt, links, flits)
             links = ()
             total_hops += len(route)

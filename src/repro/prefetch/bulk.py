@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.mem.coherence import CohMsg
-from repro.noc.message import CTRL, Packet, control_payload_bits
+from repro.noc.message import CTRL, control_payload_bits
 from repro.noc.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
@@ -62,9 +62,8 @@ class BulkGrouper:
             return
         msgs = [msg for msg, _entry in queue]
         if len(msgs) == 1:
-            packet = Packet(
-                src=self.tile, dst=home, kind=CTRL,
-                payload_bits=control_payload_bits(), dst_port="l3",
+            info = self.net.send_new(
+                self.tile, home, CTRL, control_payload_bits(), "l3",
                 body=msgs[0],
             )
         else:
@@ -72,14 +71,12 @@ class BulkGrouper:
                 op="GetSBulk", addr=msgs[0].addr,
                 requester=self.tile, se_info=msgs,
             )
-            packet = Packet(
-                src=self.tile, dst=home, kind=CTRL,
-                payload_bits=(len(msgs) - 1) * self.ADDR_BITS,
-                dst_port="l3", body=bulk,
+            info = self.net.send_new(
+                self.tile, home, CTRL, (len(msgs) - 1) * self.ADDR_BITS,
+                "l3", body=bulk,
             )
             self.stats.add("l2.bulk_groups")
             self.stats.add("l2.bulk_grouped_requests", len(msgs))
-        info = self.net.send(packet)
         for _msg, entry in queue:
             entry.meta["req_flits"] = info.flits / len(queue)
 

@@ -239,10 +239,10 @@ class SEL2:
             credits=stream.granted - stream.l3_start,
             requester=self.tile, epoch=stream.epoch, plan=stream.plan,
         )
-        self.net.send(Packet(
-            src=self.tile, dst=self.nuca.bank_of(first_addr), kind=STREAM,
-            payload_bits=body.bits(), dst_port="se_l3", body=body,
-        ), extra_delay=translate_cost)
+        self.net.send_new(
+            self.tile, self.nuca.bank_of(first_addr), STREAM,
+            body.bits(), "se_l3", body=body, extra_delay=translate_cost,
+        )
 
     # ------------------------------------------------------------------
     # L2-level plan ranges (prefetch into the stream buffer)
@@ -373,11 +373,10 @@ class SEL2:
                 dealloc = EndStream(requester=self.tile, sid=sid,
                                     epoch=stream.epoch)
                 self.stats.add("se_l2.range_deallocs")
-                self.net.send(Packet(
-                    src=self.tile, dst=bank, kind=STREAM,
-                    payload_bits=dealloc.bits(), dst_port="se_l3",
+                self.net.send_new(
+                    self.tile, bank, STREAM, dealloc.bits(), "se_l3",
                     body=dealloc,
-                ))
+                )
         # Send the end packet to the stream's current bank (tracked as
         # the source of its most recent data; SE_L3s forward if the
         # stream migrated meanwhile) — SS IV-A. Pure-L2 plan floats
@@ -385,10 +384,10 @@ class SEL2:
         if stream.config_sent:
             body = EndStream(requester=self.tile, sid=sid,
                              epoch=stream.epoch)
-            self.net.send(Packet(
-                src=self.tile, dst=stream.last_bank, kind=STREAM,
-                payload_bits=body.bits(), dst_port="se_l3", body=body,
-            ))
+            self.net.send_new(
+                self.tile, stream.last_bank, STREAM,
+                body.bits(), "se_l3", body=body,
+            )
         # Answer any still-waiting core requests through the normal
         # (non-floating) path so nothing deadlocks.
         for idx, reqs in list(stream.waiters.items()):
@@ -410,10 +409,10 @@ class SEL2:
         if stream.config_sent:
             body = EndStream(requester=self.tile, sid=sid,
                              epoch=stream.epoch)
-            self.net.send(Packet(
-                src=self.tile, dst=stream.last_bank, kind=STREAM,
-                payload_bits=body.bits(), dst_port="se_l3", body=body,
-            ))
+            self.net.send_new(
+                self.tile, stream.last_bank, STREAM,
+                body.bits(), "se_l3", body=body,
+            )
 
     def _bounce_to_memory(self, req: L2Request) -> None:
         req.floating = False

@@ -682,20 +682,19 @@ class SEL3:
             self._drop(stream)
             self.stats.add("se_l3.ends")
             ack = EndAck(sid=body.sid)
-            self.net.send(Packet(
-                src=self.tile, dst=body.requester, kind=STREAM,
-                payload_bits=ack.bits(), dst_port="se_l2", body=ack,
-            ))
+            self.net.send_new(
+                self.tile, body.requester, STREAM,
+                ack.bits(), "se_l2", body=ack,
+            )
             return
         fwd = self.forwarding.get(key)
         if fwd is not None and fwd[1] == body.epoch:
             # Chase the migrated stream, reclaiming the breadcrumb as
             # we pass (hop-by-hop cleanup of the forwarding chain).
             del self.forwarding[key]
-            self.net.send(Packet(
-                src=self.tile, dst=fwd[0], kind=STREAM,
-                payload_bits=body.bits(), dst_port="se_l3", body=body,
-            ))
+            self.net.send_new(
+                self.tile, fwd[0], STREAM, body.bits(), "se_l3", body=body,
+            )
         else:
             # Unknown here (already finished, or this EndStream is from
             # a superseded incarnation whose stream a newer float
@@ -704,10 +703,10 @@ class SEL3:
             if stream is not None and stream.epoch > body.epoch:
                 self.stats.add("se_l3.stale_ends")
             ack = EndAck(sid=body.sid)
-            self.net.send(Packet(
-                src=self.tile, dst=body.requester, kind=STREAM,
-                payload_bits=ack.bits(), dst_port="se_l2", body=ack,
-            ))
+            self.net.send_new(
+                self.tile, body.requester, STREAM,
+                ack.bits(), "se_l2", body=ack,
+            )
 
     def _detach_child(self, body: EndStream) -> None:
         """Remove an ended indirect child from its resident parent
@@ -752,10 +751,9 @@ class SEL3:
             self.ranges.pop(key, None)
             self.pending_credits.pop(key, None)
             body = StreamInv(sid=sid, addr=addr)
-            self.net.send(Packet(
-                src=self.tile, dst=requester, kind=CTRL,
-                payload_bits=body.bits(), dst_port="se_l2", body=body,
-            ))
+            self.net.send_new(
+                self.tile, requester, CTRL, body.bits(), "se_l2", body=body,
+            )
 
     def flush_floating(self) -> None:
         """Context switch (SS IV-E): discard all floating streams."""

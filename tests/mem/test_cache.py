@@ -1,10 +1,15 @@
 """Tests for the set-associative cache array."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import EXCLUSIVE, INVALID, MODIFIED, SHARED, CacheArray
+from repro.mem.cache import (
+    _UNFILLED, EXCLUSIVE, INVALID, MODIFIED, SHARED, CacheArray, CacheLine,
+)
+from repro.mem.replacement import BrripPolicy, LruPolicy
 
 
 def make_cache(size=1024, ways=2, replacement="lru"):
@@ -129,3 +134,158 @@ def test_lookup_matches_fill_history(line_numbers):
                 present.discard(evicted.addr)
     for addr in present:
         assert c.contains(addr)
+
+
+# ---------------------------------------------------------------------------
+# Lazy materialization vs an eager reference array
+# ---------------------------------------------------------------------------
+
+class _PrivateRngBrrip(BrripPolicy):
+    """BRRIP drawing from its own ``random.Random(seed)``, as every set
+    did before the sets sharing a seed shared one draw tape."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, ways, seed):
+        super().__init__(ways, seed=seed)
+        self._rng = random.Random(seed)
+
+    def on_fill(self, way):
+        if self._rng.random() < self.p:
+            self._rrpv[way] = self.MAX_RRPV - 1
+        else:
+            self._rrpv[way] = self.MAX_RRPV
+
+
+class EagerArray:
+    """Reference array: every line and every set's policy exists from
+    construction, and BRRIP sets draw from private generators."""
+
+    def __init__(self, size_bytes, ways, replacement, seed):
+        self.ways = ways
+        self.num_sets = size_bytes // (ways * 64)
+        self.slots = [CacheLine() for _ in range(self.num_sets * ways)]
+        self.policies = [
+            _PrivateRngBrrip(ways, seed + s) if replacement == "brrip"
+            else LruPolicy(ways)
+            for s in range(self.num_sets)
+        ]
+        self.where = {}
+
+    def lookup(self, addr, touch):
+        base = addr & ~63
+        if base not in self.where:
+            return None
+        slot = self.where[base]
+        if touch:
+            self.policies[slot // self.ways].on_hit(slot % self.ways)
+        return self.slots[slot]
+
+    def fill(self, addr, avoid):
+        base = addr & ~63
+        set_idx = (addr >> 6) % self.num_sets
+        first = set_idx * self.ways
+        victim_way = None
+        for way in range(self.ways):
+            if self.slots[first + way].state == INVALID:
+                victim_way = way
+                break
+        if victim_way is None:
+            policy = self.policies[set_idx]
+            valid = [True] * self.ways
+            for _ in range(self.ways):
+                way = policy.victim(valid)
+                line = self.slots[first + way]
+                if avoid is None or not avoid(line.addr):
+                    victim_way = way
+                    break
+                policy.on_hit(way)
+            else:
+                raise RuntimeError("all ways pinned")
+        victim = self.slots[first + victim_way]
+        evicted = None
+        if victim.state != INVALID:
+            evicted = victim.copy()
+            del self.where[victim.addr]
+        fresh = CacheLine(addr=base, state=SHARED)
+        for name in CacheLine.__slots__:
+            setattr(victim, name, getattr(fresh, name))
+        self.where[base] = first + victim_way
+        self.policies[set_idx].on_fill(victim_way)
+        return victim, evicted
+
+    def invalidate(self, addr):
+        slot = self.where.pop(addr & ~63, None)
+        if slot is None:
+            return None
+        line = self.slots[slot]
+        copy = line.copy()
+        line.state = INVALID
+        line.dirty = False
+        return copy
+
+    def all_lines(self):
+        return [ln for ln in self.slots if ln.valid]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["fill", "fill", "lookup", "peek", "invalidate"]),
+        st.integers(min_value=0, max_value=63),  # line number
+        st.integers(min_value=0, max_value=3),   # avoid: line number % 4 == k
+    ),
+    min_size=1, max_size=300,
+)
+
+
+_SWEEPS = [("fill", n, n % 4) for n in range(64)] * 3
+
+
+def _policy_state(policy):
+    return policy._rrpv if isinstance(policy, BrripPolicy) else policy._last_use
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS, replacement=st.sampled_from(["lru", "brrip"]),
+       seed=st.integers(min_value=0, max_value=50))
+@example(ops=_SWEEPS, replacement="brrip", seed=0)
+@example(ops=_SWEEPS, replacement="lru", seed=0)
+def test_lazy_array_matches_eager_reference(ops, replacement, seed):
+    lazy = CacheArray(1024, 4, replacement=replacement, seed=seed)  # 4 sets
+    ref = EagerArray(1024, 4, replacement, seed)
+    for op, n, k in ops:
+        addr = n * 64
+        if op == "fill":
+            if lazy.contains(addr):
+                continue
+            avoid = (lambda a, k=k: (a >> 6) % 4 == k) if n % 2 else None
+            try:
+                want = ref.fill(addr, avoid)
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    lazy.fill(addr, SHARED, avoid=avoid)
+                continue
+            got = lazy.fill(addr, SHARED, avoid=avoid)
+            assert got == want  # same line written, same evicted copy
+            assert lazy._where == ref.where  # same victim slot
+        elif op in ("lookup", "peek"):
+            assert lazy.lookup(addr, touch=op == "lookup") == \
+                ref.lookup(addr, touch=op == "lookup")
+        else:
+            assert lazy.invalidate(addr) == ref.invalidate(addr)
+        assert lazy.occupancy() == len(ref.where)
+        assert lazy.all_lines() == ref.all_lines()
+        fresh = BrripPolicy(4) if replacement == "brrip" else LruPolicy(4)
+        for lazy_policy, ref_policy in zip(lazy._policies, ref.policies):
+            assert _policy_state(lazy_policy or fresh) == _policy_state(ref_policy)
+    assert _UNFILLED == CacheLine()  # the shared placeholder is never written
+
+
+def test_fresh_array_materializes_nothing():
+    c = CacheArray(4096, 4, replacement="brrip")
+    assert all(line is _UNFILLED for line in c._slots)
+    assert c._policies == [None] * c.num_sets
+    assert c.all_lines() == []
+    c.fill(0x40, SHARED)  # set 1, way 0
+    assert [i for i, ln in enumerate(c._slots) if ln is not _UNFILLED] == [4]
+    assert [i for i, p in enumerate(c._policies) if p is not None] == [1]

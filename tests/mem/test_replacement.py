@@ -1,5 +1,7 @@
 """Tests for LRU and Bimodal RRIP replacement."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -63,6 +65,22 @@ class TestBrrip:
             a.on_fill(way)
             b.on_fill(way)
         assert a._rrpv == b._rrpv
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=300),
+           st.integers(min_value=0, max_value=1000))
+    def test_same_seed_sets_share_one_tape(self, schedule, seed):
+        """Two sets with one seed, filled interleaved, each insert
+        exactly as a private ``random.Random(seed)`` would."""
+        pols = [BrripPolicy(4, p=0.5, seed=seed) for _ in range(2)]
+        assert pols[0]._tape is pols[1]._tape
+        private = [random.Random(seed), random.Random(seed)]
+        fills = [0, 0]
+        for which in schedule:
+            way = fills[which] % 4
+            fills[which] += 1
+            pols[which].on_fill(way)
+            want = 2 if private[which].random() < 0.5 else 3
+            assert pols[which]._rrpv[way] == want
 
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=200))
     def test_victim_always_valid_way(self, hits):

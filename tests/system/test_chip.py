@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mem.cache import _UNFILLED
 from repro.system import Chip, make_config
 from repro.workloads.kernel import CoreProgram, Iteration, KernelPhase
 
@@ -119,3 +120,35 @@ class TestRunResult:
         chip = make_chip()
         result = chip.run({0: CoreProgram(phases=[compute_phase(10)])})
         assert result.stats["chip.cycles"] == result.cycles
+
+
+def _arrays(chip):
+    return [array for tile in chip.tiles
+            for array in (tile.l1.array, tile.l2.array, tile.l3.array)]
+
+
+class TestFootprint:
+    """A chip holds only the state its run touches."""
+
+    def test_paper_geometry_setup_materializes_no_cache_state(self):
+        chip = Chip(make_config("sf", core="ooo8", cols=8, rows=8, scale=4))
+        arrays = _arrays(chip)
+        assert len(arrays) == 3 * 64
+        assert sum(len(a._slots) for a in arrays) > 300_000
+        assert all(line is _UNFILLED for a in arrays for line in a._slots)
+        assert all(pol is None for a in arrays for pol in a._policies)
+
+    @pytest.mark.no_sanitize  # the sanitizer vetoes packet pooling
+    def test_run_leaves_no_dead_packets_or_mshr_payloads(self):
+        from repro.workloads import build_programs
+
+        chip = Chip(make_config("sf", core="ooo8", cols=4, rows=4, scale=16))
+        assert chip.sim.pooling
+        chip.run(build_programs("hotspot", chip.num_cores, scale=16))
+        # The free-list holds at most the shells once in flight
+        # together (657 on this run), not one per packet ever sent.
+        assert 0 < len(chip.net._pkt_free) < 1000
+        for tile in chip.tiles:
+            for mshr in (tile.l1.mshr, tile.l2.mshr, tile.l3.mshr):
+                for entry in mshr._free:
+                    assert not entry.waiters and not entry.meta
